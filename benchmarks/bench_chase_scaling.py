@@ -59,10 +59,14 @@ SCALING_TIERS = {
 #: refactor compounded that to 6.5x (10x measured), and the binding-level
 #: probe rework (zero-materialization tgd applicability + per-Σ plan reuse
 #: + candidate-list pooling) moved the measured ratio to 10.5x on a quiet
-#: machine, so the floor rises to 7.5x — ~30% headroom for shared-runner
-#: noise.  Asserting the ratio rather than seconds keeps the bar
+#: machine, so the floor rose to 7.5x — ~30% headroom for shared-runner
+#: noise.  Deciding Definition 4.3 without a test chase for key-determined
+#: tgds (the chain and star tiers' inclusion / spoke tgds) measured 24-27x
+#: against 9-11x before it (two runs each, 2-vCPU VM), so the floor rises to
+#: 15x; the clique tier (full tgds, Proposition 4.3) now dominates the
+#: accelerated time.  Asserting the ratio rather than seconds keeps the bar
 #: meaningful across machines.
-SCALING_SPEEDUP_FLOOR = {"medium": 2.0, "large": 7.5}
+SCALING_SPEEDUP_FLOOR = {"medium": 2.0, "large": 15.0}
 SCALING_MAX_STEPS = 5000
 
 #: PR 4's recorded large-tier accelerated wall time and reference speedup,

@@ -8,7 +8,13 @@ witnesses to be unique, so adding the conclusion to Q cannot change answer
 multiplicities under bag or bag-set semantics.
 
 Full tgds (no existential variables) are assignment fixing w.r.t. every
-query they apply to (Proposition 4.3).
+query they apply to (Proposition 4.3).  Key-determined tgds are settled
+without a chase too: when every conclusion atom is keyed by its universal
+positions under Σ's fd-shaped egds, Σ has no constants, and Q's constants
+sit only in atoms no premise of Σ mentions, the test chase can neither fail
+nor keep both members of a pair, so its verdict is True whenever it
+terminates (Definition 5.1's superkey argument; the gates and the proof are
+on :class:`repro.chase.plans.AssignmentFixingRule`).
 
 The notion is *query dependent* (Example 5.1) and strictly generalises
 key-based tgds / UWDs (Definition 5.1, Example 4.8); the comparison helper
@@ -23,7 +29,7 @@ from ..core.query import ConjunctiveQuery
 from ..core.terms import Term
 from ..dependencies.base import TGD, Dependency, DependencySet
 from ..dependencies.classify import is_key_based_tgd
-from .plans import PlanCache, TGDPlan
+from .plans import PlanCache, TGDPlan, default_plan_cache
 from .profile import ChaseProfile
 from .set_chase import DEFAULT_MAX_STEPS, set_chase
 from .steps import iter_applicable_tgd_bindings, trigger_homomorphism
@@ -70,7 +76,12 @@ def is_assignment_fixing_for(
 
     Definition 4.3: chase the associated test query under set semantics and
     check that at most one of Zi and θ(Zi) survives for every existential
-    variable.
+    variable.  Two cases skip the chase: full tgds (Proposition 4.3) and
+    key-determined tgds under the gates of
+    :class:`~repro.chase.plans.AssignmentFixingRule`, which is consulted
+    through ``plan_cache`` (default: the process-wide cache) and counted as
+    ``assignment_fixing_static`` on ``profile``.  Wherever the test chase
+    terminates, the verdict is the one it would give.
 
     Definition 4.3 is stated for regularized tgds; the test itself is well
     defined for any tgd, and the paper applies it verbatim to tgds such as
@@ -88,6 +99,11 @@ def is_assignment_fixing_for(
     if tgd.is_full():
         # Proposition 4.3.
         return True
+    cache = plan_cache if plan_cache is not None else default_plan_cache()
+    if cache.plans_for(dependencies).assignment_fixing_rule().decides(query, tgd):
+        if profile is not None:
+            profile.assignment_fixing_static += 1
+        return True
     test = associated_test_query(query, tgd, homomorphism)
     if memo is not None:
         key = _canonical_verdict_key(test, max_steps)
@@ -96,7 +112,7 @@ def is_assignment_fixing_for(
             if profile is not None:
                 profile.assignment_fixing_cache_hits += 1
             return cached
-    chased = set_chase(test.query, dependencies, max_steps=max_steps, plan_cache=plan_cache)
+    chased = set_chase(test.query, dependencies, max_steps=max_steps, plan_cache=cache)
     if profile is not None:
         profile.assignment_fixing_tests += 1
         if chased.profile is not None:

@@ -14,6 +14,8 @@ each dependency's atoms into :class:`~repro.core.plan.MatchPlan` int plans
 * :class:`SigmaPlans` — one regularized dependency list's plans, split by
   kind exactly the way the drivers split dependencies, plus the
   premise-predicate trigger maps shared by every run's ``TriggerIndex``;
+* :class:`AssignmentFixingRule` — Σ's chase-free Definition 4.3 verdicts
+  for key-determined tgds, built lazily once per :class:`SigmaPlans`;
 * :class:`PlanCache` — a bounded LRU keyed by the
   :attr:`~repro.dependencies.base.DependencySet.fingerprint` of Σ (plus the
   dependency display names, which the fingerprint deliberately drops but
@@ -33,11 +35,14 @@ level chase calls; a :class:`~repro.session.Session` owns a reference to it
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
+from ..core.atoms import atoms_constants
 from ..core.plan import MatchPlan, shared_slot_links
-from ..core.terms import Term
+from ..core.query import ConjunctiveQuery
+from ..core.terms import Constant, Term
 from ..dependencies.base import EGD, TGD, Dependency, DependencySet
+from ..dependencies.classify import extract_positional_fds, is_keyed_by_universal_positions
 from ..dependencies.regularize import regularize_dependencies
 
 
@@ -105,6 +110,92 @@ def _trigger_map(
     return {predicate: tuple(ids) for predicate, ids in by_predicate.items()}
 
 
+def _dependency_has_constant(dependency: Dependency) -> bool:
+    if isinstance(dependency, TGD):
+        return bool(atoms_constants(dependency.premise + dependency.conclusion))
+    return bool(atoms_constants(dependency.premise)) or any(
+        isinstance(term, Constant)
+        for equality in dependency.equalities
+        for term in (equality.left, equality.right)
+    )
+
+
+class AssignmentFixingRule:
+    """Definition 4.3 decided without a test chase, for key-determined tgds.
+
+    The test chase of Q^{σ,h,θ} starts from Q's body plus two copies of σ's
+    conclusion that agree on every universal position.  The rule answers
+    "assignment fixing" without chasing when three gates hold:
+
+    1. every conclusion atom of σ is keyed by its universal positions under
+       Σ's fd-shaped egds (the superkey clause of Definition 5.1, shared
+       with :func:`repro.dependencies.is_key_based_tgd`; its set-valuedness
+       clause is not needed, the test chase runs under set semantics);
+    2. Σ mentions no constant;
+    3. no body atom of Q holding a constant has a predicate that some
+       premise of Σ mentions.
+
+    Gates 2 and 3 keep every atom a trigger can match constant free for the
+    whole test chase (tgd steps add images of such atoms plus fresh
+    variables, egd steps equate two variables), so the chase never fails.
+    A terminal state has no applicable egd, so by gate 1 the two conclusion
+    copies, which start equal on the universal positions, end equal on the
+    whole key closure, i.e. everywhere: each pair (Zᵢ, θ(Zᵢ)) has been
+    identified, and at most one member survives.  The verdict is therefore
+    True whenever the test chase terminates, and the rule returns it
+    without running the chase.  The one observable difference: a chase
+    whose nested test would exhaust its step budget goes on instead of
+    raising :class:`~repro.exceptions.ChaseNonTerminationError`.
+
+    Built once per :class:`SigmaPlans` (see
+    :meth:`SigmaPlans.assignment_fixing_rule`); the per-tgd gate-1 verdicts
+    are memoized, so a hot call costs two dict lookups plus, when Q holds
+    constants, one pass over its body.
+    """
+
+    __slots__ = ("constant_free", "premise_predicates", "_fds", "_keyed")
+
+    def __init__(self, dependencies: Sequence[Dependency]):
+        self.constant_free = not any(_dependency_has_constant(d) for d in dependencies)
+        self.premise_predicates = frozenset(
+            atom.predicate for dependency in dependencies for atom in dependency.premise
+        )
+        self._fds = extract_positional_fds(dependencies)
+        self._keyed: dict[TGD, bool] = {}
+
+    def is_key_determined(self, tgd: TGD) -> bool:
+        """Gate 1 for *tgd*: is every conclusion atom keyed by its universal positions?
+
+        A tgd from outside Σ must also be constant free, with premise
+        predicates among Σ's premise predicates, so that gate 3 covers the
+        atoms its trigger maps into; every tgd of a constant-free Σ is.
+        """
+        keyed = self._keyed.get(tgd)
+        if keyed is None:
+            keyed = (
+                not _dependency_has_constant(tgd)
+                and all(atom.predicate in self.premise_predicates for atom in tgd.premise)
+                and is_keyed_by_universal_positions(tgd, self._fds)
+            )
+            self._keyed[tgd] = keyed
+        return keyed
+
+    def decides(self, query: ConjunctiveQuery, tgd: TGD) -> bool:
+        """Is *tgd* assignment fixing w.r.t. *query* by this rule alone?
+
+        False means "not decided here" (run the test chase), not "not
+        assignment fixing".
+        """
+        if not self.constant_free or not self.is_key_determined(tgd):
+            return False
+        if query.constants():
+            premise_predicates = self.premise_predicates
+            for atom in query.body:
+                if atom.predicate in premise_predicates and atoms_constants((atom,)):
+                    return False
+        return True
+
+
 class SigmaPlans:
     """Compiled plans for one (optionally regularized) dependency list."""
 
@@ -117,6 +208,7 @@ class SigmaPlans:
         "egd_trigger_map",
         "tgd_trigger_map",
         "_sigma",
+        "_af_rule",
     )
 
     def __init__(self, dependencies: Iterable[Dependency], *, regularize: bool = True):
@@ -131,6 +223,14 @@ class SigmaPlans:
         self.egd_trigger_map = _trigger_map(self.egd_plans)
         self.tgd_trigger_map = _trigger_map(self.tgd_plans)
         self._sigma: DependencySet | None = None
+        self._af_rule: AssignmentFixingRule | None = None
+
+    def assignment_fixing_rule(self) -> AssignmentFixingRule:
+        """The chase-free Definition 4.3 rule for these items, built on first use."""
+        rule = self._af_rule
+        if rule is None:
+            rule = self._af_rule = AssignmentFixingRule(self.items)
+        return rule
 
     def dependency_set(self) -> DependencySet:
         """The compiled items wrapped as a :class:`DependencySet`, memoized.

@@ -83,6 +83,9 @@ class ChaseProfile:
     #: from the per-run memo (Definition 4.3 work avoided).
     assignment_fixing_tests: int = 0
     assignment_fixing_cache_hits: int = 0
+    #: Assignment-fixing verdicts settled without a test chase by the
+    #: key-determined rule (:class:`~repro.chase.plans.AssignmentFixingRule`).
+    assignment_fixing_static: int = 0
     #: Term intern-table hits / misses (Variable + Constant constructions
     #: served from / added to the per-process intern tables) during the run.
     intern_hits: int = 0
@@ -171,6 +174,7 @@ class ChaseProfile:
         self.plans_reused += other.plans_reused
         self.assignment_fixing_tests += other.assignment_fixing_tests
         self.assignment_fixing_cache_hits += other.assignment_fixing_cache_hits
+        self.assignment_fixing_static += other.assignment_fixing_static
         self.intern_hits += other.intern_hits
         self.intern_misses += other.intern_misses
         self.structural_key_hits += other.structural_key_hits
@@ -218,10 +222,15 @@ class ChaseProfile:
                 f"  match plans      : {self.plans_reused} reused, "
                 f"{self.plans_compiled} compiled"
             )
-        if self.assignment_fixing_tests or self.assignment_fixing_cache_hits:
+        if (
+            self.assignment_fixing_tests
+            or self.assignment_fixing_cache_hits
+            or self.assignment_fixing_static
+        ):
             lines.append(
                 f"  assignment-fixing: {self.assignment_fixing_tests} test chases, "
-                f"{self.assignment_fixing_cache_hits} memo hits"
+                f"{self.assignment_fixing_cache_hits} memo hits, "
+                f"{self.assignment_fixing_static} decided without a chase"
             )
         if self.intern_hits or self.intern_misses:
             lines.append(

@@ -26,9 +26,11 @@ The loop is delta-driven (see :mod:`repro.chase.delta`): one
 every dependency probe of a round, a :class:`~repro.chase.delta.TriggerIndex`
 skips dependencies that provably cannot have gained a trigger, and
 Definition 4.3 verdicts are memoized per canonicalized test query within the
-run.  The applied step sequence is byte-identical to the pre-index
-implementation (frozen in :mod:`repro.chase.reference`); each result carries
-a :class:`~repro.chase.profile.ChaseProfile` of the work done and skipped.
+run, or settled without a test chase for key-determined tgds (see
+:class:`~repro.chase.plans.AssignmentFixingRule`).  The applied step
+sequence is byte-identical to the pre-index implementation (frozen in
+:mod:`repro.chase.reference`); each result carries a
+:class:`~repro.chase.profile.ChaseProfile` of the work done and skipped.
 """
 
 from __future__ import annotations

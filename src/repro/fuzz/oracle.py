@@ -8,11 +8,17 @@ oracle runs six independent families of checks and reports every mismatch:
    reproduce the frozen reference drivers
    (:mod:`repro.chase.reference`) *step for step*: same step records, same
    terminal query, and the same outcome kind when the chase fails or runs
-   out of budget.  The homomorphism engines are compared the same way, and
-   so are the binding-level applicability probes: for every dependency of
-   Σ, the zero-materialization trigger enumeration of
-   :mod:`repro.chase.steps` must yield the same homomorphisms, with the
-   same key order, as the frozen pre-kernel path.
+   out of budget.  One difference is permitted: under bag / bag-set
+   semantics the accelerated chase decides key-determined Definition 4.3
+   tests without a nested chase, so it may terminate where the reference
+   exhausts its budget inside a nested test; the reference is then re-run
+   at :data:`REFERENCE_RETRY_FACTOR` times the budget and must terminate
+   with the same terminal query and step records.  The homomorphism
+   engines are compared the same way, and so are the binding-level
+   applicability probes: for every dependency of Σ, the
+   zero-materialization trigger enumeration of :mod:`repro.chase.steps`
+   must yield the same homomorphisms, with the same key order, as the
+   frozen pre-kernel path.
 2. **Proposition 6.1** — the bag ⇒ bag-set ⇒ set implication chain must hold
    across the three verdicts of a :class:`~repro.session.Session`; each
    verdict is additionally recomputed from the *reference* chase results, so
@@ -78,6 +84,10 @@ from .generator import FuzzCase
 
 #: Order matters: Proposition 6.1 reads bag ⇒ bag-set ⇒ set.
 ALL_SEMANTICS = (Semantics.BAG, Semantics.BAG_SET, Semantics.SET)
+
+#: Budget multiplier for re-running a reference chase that ran out of steps
+#: where the accelerated one terminated (see check 1 above).
+REFERENCE_RETRY_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -153,15 +163,29 @@ def _compare_chases(case: FuzzCase, report: CaseReport) -> dict:
                 semantics,
                 case.max_steps,
             )
-            reference_outcomes[(label, semantics)] = slow
+            budget = ""
             if slow[0] == "budget-exhausted":
                 report.budget_exhausted = True
+                if fast[0] == "terminated" and semantics is not Semantics.SET:
+                    # The permitted difference: a Definition 4.3 test the
+                    # accelerated chase decided without the nested chase that
+                    # exhausted the reference.  With more budget the reference
+                    # must reproduce the accelerated run exactly.
+                    budget = f" at {REFERENCE_RETRY_FACTOR}x the budget"
+                    slow = _chase_outcome(
+                        sound_chase_reference,
+                        query,
+                        case.dependencies,
+                        semantics,
+                        case.max_steps * REFERENCE_RETRY_FACTOR,
+                    )
+            reference_outcomes[(label, semantics)] = slow
             if fast[0] != slow[0]:
                 report.mismatches.append(
                     OracleMismatch(
                         f"chase-differential[{semantics}]",
                         f"{label}: accelerated {_describe(fast)} vs "
-                        f"reference {_describe(slow)}",
+                        f"reference {_describe(slow)}{budget}",
                     )
                 )
                 continue
@@ -173,7 +197,7 @@ def _compare_chases(case: FuzzCase, report: CaseReport) -> dict:
                     OracleMismatch(
                         f"chase-differential[{semantics}]",
                         f"{label}: terminal queries differ — accelerated "
-                        f"{fast_result.query} vs reference {slow_result.query}",
+                        f"{fast_result.query} vs reference {slow_result.query}{budget}",
                     )
                 )
             elif fast_result.steps != slow_result.steps:
@@ -181,7 +205,7 @@ def _compare_chases(case: FuzzCase, report: CaseReport) -> dict:
                     OracleMismatch(
                         f"chase-differential[{semantics}]",
                         f"{label}: step records diverge at step "
-                        f"{_first_divergence(fast_result.steps, slow_result.steps)}",
+                        f"{_first_divergence(fast_result.steps, slow_result.steps)}{budget}",
                     )
                 )
     return reference_outcomes

@@ -64,6 +64,16 @@ from .registry import SemanticsRegistry, default_registry, normalize_semantics_n
 from .strategies import SemanticsStrategy
 
 
+#: Bound on the checkpoints a Session keeps for :meth:`Session.apply_delta`.
+#: It is separate from ``cache_size``: a checkpoint (fixpoint, Σ, step
+#: provenance) is far larger than a cached result, a resumable session takes
+#: one per cold chase, and invalidating the chase cache (every Σ change)
+#: leaves the checkpoints in place, so under a shared bound they alone would
+#: grow to the chase cache's size.  Deltas resume from recent chases; an
+#: evicted checkpoint only costs a cold chase.
+CHECKPOINT_CACHE_SIZE = 256
+
+
 class ChaseResultStore(Protocol):
     """What a Session needs from a persistent chase-result store.
 
@@ -111,6 +121,10 @@ class Session:
     dependencies; ``schema`` is optional, and when it marks relations as set
     valued those markers are folded into Σ (they drive the Theorem 4.1 / 4.2
     soundness conditions under bag semantics).
+
+    ``cache_size`` bounds the chase-result cache and the per-query key memo
+    that shares its policy.  The checkpoints kept for :meth:`apply_delta`
+    have their own, fixed bound, :data:`CHECKPOINT_CACHE_SIZE`.
     """
 
     def __init__(
@@ -188,7 +202,7 @@ class Session:
         # checkpoint taken under a Σ prefix is exactly what apply_delta
         # resumes from after Σ grows.
         self.chase_resumable = bool(chase_resumable)
-        self._checkpoints = ChaseCache(cache_size)
+        self._checkpoints = ChaseCache(CHECKPOINT_CACHE_SIZE)
         self._incremental: dict[str, int] = {
             "deltas_applied": 0,
             "deltas_rejected": 0,

@@ -34,6 +34,7 @@ from repro.fuzz import (
     with_max_steps,
 )
 from repro.fuzz.corpus import CorpusError, load_corpus_file, save_case
+from repro.semantics import Semantics
 
 
 class TestGenerator:
@@ -213,6 +214,67 @@ class TestOracle:
         report = run_oracle(case)
         assert report.ok
         assert report.budget_exhausted
+
+    #: The accelerated chase decides the key-determined ``a -> k`` test
+    #: without a chase; the reference's nested test chase runs the ten
+    #: ``b`` tgds and exhausts a 5-step budget.
+    NESTED_BUDGET_CASE = {
+        "query": "Q(X) :- a(X), b0(X, Y)",
+        "other": "Q(X) :- a(X), b0(X, Y)",
+        "dependencies": [
+            "a(X) -> k(X, Z)",
+            "k(X, Y1) & k(X, Y2) -> Y1 = Y2",
+            *(f"b{i}(X, Y) -> b{i + 1}(Y, W)" for i in range(10)),
+        ],
+        "set_valued": ["k"],
+        "max_steps": 5,
+    }
+
+    def test_nested_budget_difference_is_permitted(self):
+        from repro.chase.reference import sound_chase_reference
+        from repro.exceptions import ChaseNonTerminationError
+        from repro.fuzz.oracle import CaseReport, _compare_chases
+
+        case = case_from_dict(self.NESTED_BUDGET_CASE)
+        fast = sound_chase(case.query, case.dependencies, "bag", case.max_steps)
+        assert fast.step_count == 1
+        assert fast.profile.assignment_fixing_static == 1
+        with pytest.raises(ChaseNonTerminationError):
+            sound_chase_reference(case.query, case.dependencies, "bag", case.max_steps)
+        slow = sound_chase_reference(case.query, case.dependencies, "bag", 20)
+        assert (slow.query, slow.steps) == (fast.query, fast.steps)
+
+        report = CaseReport(case=case)
+        outcomes = _compare_chases(case, report)
+        assert report.mismatches == []
+        assert report.budget_exhausted
+        assert outcomes[("query", Semantics.BAG)][0] == "terminated"
+        assert run_oracle(case).ok
+
+    def test_only_the_nested_budget_difference_is_permitted(self, monkeypatch):
+        """A reference that still runs out of budget on the retry, or that
+        terminates differently, is a mismatch."""
+        import repro.fuzz.oracle as oracle_module
+
+        case = case_from_dict(self.NESTED_BUDGET_CASE)
+        monkeypatch.setattr(oracle_module, "REFERENCE_RETRY_FACTOR", 1)
+        report = oracle_module.CaseReport(case=case)
+        oracle_module._compare_chases(case, report)
+        assert [m.check for m in report.mismatches] == ["chase-differential[bag]"] * 2
+
+        reference = oracle_module.sound_chase_reference
+
+        def diverging_retry(query, dependencies, semantics, max_steps):
+            result = reference(query, dependencies, semantics, max_steps)
+            result.steps = []
+            return result
+
+        monkeypatch.setattr(oracle_module, "REFERENCE_RETRY_FACTOR", 10)
+        monkeypatch.setattr(oracle_module, "sound_chase_reference", diverging_retry)
+        report = oracle_module.CaseReport(case=case)
+        oracle_module._compare_chases(case, report)
+        assert report.mismatches
+        assert all("10x the budget" in m.detail for m in report.mismatches)
 
 
 class TestShrink:

@@ -33,6 +33,7 @@ from repro.exceptions import DeltaRejectedError, PrecheckFailedError
 from repro.semantics import Semantics
 from repro.serve import ReproClient, ReproServer, ServerError
 from repro.session import Session
+from repro.session.engine import CHECKPOINT_CACHE_SIZE
 from repro.views import IncrementalViewRewriter, ViewDefinition, ViewSet, rewrite_query_using_views
 
 ALL_SEMANTICS = (Semantics.SET, Semantics.BAG_SET, Semantics.BAG)
@@ -370,6 +371,22 @@ class TestSessionApplyDelta:
         # missing suffix into the delta instead of going cold.
         outcome = session.apply_delta(ex41.q4, _delta_atoms("u(X, U)"), "set")
         assert outcome.resumed, outcome.fallback_reason
+
+    def test_checkpoint_cache_has_its_own_bound(self, ex41):
+        """The checkpoint LRU is bounded by its constant, not by cache_size."""
+        session = Session(dependencies=ex41.dependencies, chase_resumable=True)
+        assert session.cache.maxsize > CHECKPOINT_CACHE_SIZE
+        queries = [parse_query(f"Q(X) :- p(X, Y), r({i})") for i in range(300)]
+        for query in queries:
+            session.chase(query, "bag-set")
+        incremental = session.stats()["incremental"]
+        assert incremental["checkpoints"] <= CHECKPOINT_CACHE_SIZE
+        assert session.cache_stats().size == len(queries)
+        outcome = session.apply_delta(queries[-1], _delta_atoms("u(X, U)"), "bag-set")
+        assert outcome.resumed, outcome.fallback_reason
+        # The oldest checkpoint was evicted: a delta on it runs cold.
+        outcome = session.apply_delta(queries[0], _delta_atoms("u(X, U)"), "bag-set")
+        assert outcome.fallback_reason == "no-checkpoint"
 
 
 # --------------------------------------------------------------------------- #

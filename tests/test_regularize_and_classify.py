@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chase import compare_with_key_based
 from repro.core.atoms import Atom
 from repro.database import DatabaseInstance, satisfies, satisfies_all
-from repro.datalog import parse_dependencies, parse_egd, parse_tgd
+from repro.datalog import parse_dependencies, parse_egd, parse_query, parse_tgd
 from repro.dependencies import (
     DependencySet,
     TGD,
     augment_schema_with_tuple_ids,
+    classify_dependency,
     dependency_set_with_tuple_ids,
     detect_set_enforcing_predicates,
     dependency_graph,
@@ -116,8 +118,8 @@ class TestKeyBasedClassification:
 
     def test_extract_positional_fds(self, ex41):
         fds = extract_positional_fds(list(ex41.dependencies))
-        assert (frozenset({0}), 1) in fds["s"]
-        assert (frozenset({0, 1}), 2) in fds["t"]
+        assert (frozenset({0}), 1) in fds[("s", 2)]
+        assert (frozenset({0, 1}), 2) in fds[("t", 3)]
 
     def test_is_superkey_positions(self, ex41):
         deps = list(ex41.dependencies)
@@ -139,6 +141,56 @@ class TestKeyBasedClassification:
     def test_example_4_6_nu1_not_key_based(self, ex46):
         nu1 = next(d for d in ex46.dependencies if d.name == "nu1")
         assert not is_key_based_tgd(nu1, ex46.dependencies)
+
+    def test_fd_with_dont_care_positions(self):
+        egd = parse_egd("t(X,Y,Z,A) & t(X,Y,W,B) -> Z = W")
+        assert egd_as_positional_fd(egd) == ("t", (frozenset({0, 1}), 2))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # A constant in the premise: only tuples with `a` in the middle.
+            "r(X,a,Y1) & r(X,a,Y2) -> Y1 = Y2",
+            # A repeated variable: only tuples whose first two values agree.
+            "r(X,X,Y1) & r(X,X,Y2) -> Y1 = Y2",
+            # A variable shared across different positions.
+            "r(X,Y,Z1) & r(Y,X,Z2) -> Z1 = Z2",
+        ],
+    )
+    def test_conditional_fds_are_not_fds(self, text):
+        """Such a premise matches only some pairs agreeing on the determinant,
+        so the egd must not count towards a key."""
+        egd = parse_egd(text)
+        assert egd_as_positional_fd(egd) is None
+        assert extract_positional_fds([egd]) == {}
+        assert classify_dependency(egd) == "egd"
+
+    @pytest.mark.parametrize(
+        "egd_text",
+        ["r(X,a,Y1) & r(X,a,Y2) -> Y1 = Y2", "r(X,X,Y1) & r(X,X,Y2) -> Y1 = Y2"],
+    )
+    def test_key_based_implies_assignment_fixing(self, egd_text):
+        """The regression: these egds used to read as {0,1} -> 2, so the tgd
+        below was classified key based although it is not assignment fixing."""
+        sigma = parse_dependencies(
+            f"p(X,Z) -> r(X,Z,W)\n{egd_text}", set_valued=["r"]
+        )
+        tgd = sigma.tgds()[0]
+        assert not is_superkey_positions("r", 3, [0, 1], sigma)
+        query = parse_query("Q(X) :- p(X,Z)")
+        assert compare_with_key_based(query, tgd, sigma) == {
+            "assignment_fixing": False,
+            "key_based": False,
+        }
+
+    def test_key_is_per_arity(self):
+        """An fd of r/3 says nothing about atoms of an overloaded r/2."""
+        sigma = parse_dependencies(
+            "p(X) -> r(X,W)\nr(X,Y1,Z) & r(X,Y2,V) -> Y1 = Y2", set_valued=["r"]
+        )
+        assert is_superkey_positions("r", 3, [0, 2], sigma)
+        assert not is_superkey_positions("r", 2, [0], sigma)
+        assert not is_key_based_tgd(sigma.tgds()[0], sigma)
 
 
 class TestTupleIds:
