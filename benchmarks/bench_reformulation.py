@@ -7,6 +7,12 @@ Q1–Q4 as reformulations of Q4; Bag-Set-C&B accepts Q2–Q4 but not Q1;
 Bag-C&B accepts only Q3 and Q4; and the naive extension of Section 4.1
 accepts reformulations that are *not* bag equivalent to Q4 — the sound
 algorithm accepts none of those.
+
+The verdict-table tier runs C&B on the star and chain workloads of size 6
+under the three semantics and records how many backchase candidates were
+examined and how many needed a chase; the baseline pins the chased count.
+Each result must equal the exhaustive backchase, which a third-party
+strategy wrapping the built-in one takes.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ from __future__ import annotations
 import pytest
 from _util import record
 
-from repro.paperlib import chain_workload
+from repro.chase.set_chase import DEFAULT_MAX_STEPS
+from repro.paperlib import chain_workload, star_workload
 from repro.reformulation import naive_bag_c_and_b
-from repro.session import Session
+from repro.session import BUILTIN_STRATEGIES, SemanticsStrategy, Session
 
 _ALGORITHMS = {
     "set (C&B)": "set",
@@ -133,5 +140,61 @@ def bench_chain_reformulation_scaling(benchmark, length):
         benchmark,
         chain_length=length,
         candidates_examined=result.candidates_examined,
+        reformulations=len(result.reformulations),
+    )
+
+
+class _ExhaustiveStrategy(SemanticsStrategy):
+    """A built-in strategy behind a third-party type: C&B chases every candidate."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+
+    def chase(self, query, dependencies, max_steps=DEFAULT_MAX_STEPS):
+        return self.inner.chase(query, dependencies, max_steps)
+
+    def chase_with_plans(self, query, dependencies, max_steps, plan_cache):
+        return self.inner.chase_with_plans(query, dependencies, max_steps, plan_cache)
+
+    def equivalent_chased(self, chased1, chased2, dependencies):
+        return self.inner.equivalent_chased(chased1, chased2, dependencies)
+
+
+def _outputs(result):
+    return (
+        result.universal_plan,
+        result.reformulations,
+        result.minimal_reformulations,
+        result.candidates_examined,
+    )
+
+
+_VERDICT_TABLE_WORKLOADS = {"star6": lambda: star_workload(6), "chain6": lambda: chain_workload(6)}
+
+
+@pytest.mark.parametrize("semantics", ("set", "bag", "bag-set"))
+@pytest.mark.parametrize("workload", sorted(_VERDICT_TABLE_WORKLOADS))
+def bench_backchase_verdict_table(benchmark, workload, semantics):
+    built = _VERDICT_TABLE_WORKLOADS[workload]()
+    session = Session(dependencies=built.dependencies)
+
+    def run():
+        session.clear_cache()
+        return session.reformulate(built.query, semantics)
+
+    result = benchmark(run)
+    exhaustive = Session(dependencies=built.dependencies)
+    for strategy in BUILTIN_STRATEGIES:
+        exhaustive.register_semantics(_ExhaustiveStrategy(strategy()), replace=True)
+    reference = exhaustive.reformulate(built.query, semantics)
+    assert _outputs(result) == _outputs(reference)
+    assert reference.candidates_chased == reference.candidates_examined
+    record(
+        benchmark,
+        workload=workload,
+        semantics=semantics,
+        candidates_examined=result.candidates_examined,
+        candidates_chased=result.candidates_chased,
         reformulations=len(result.reformulations),
     )

@@ -149,6 +149,7 @@ def reformulation_table(result: ReformulationResult) -> str:
         )
     header = (
         f"{len(result.reformulations)} reformulations of {result.query.head_predicate} "
-        f"under {result.semantics} ({result.candidates_examined} candidates examined)"
+        f"under {result.semantics} ({result.candidates_examined} candidates examined, "
+        f"{result.candidates_chased} chased)"
     )
     return header + "\n" + render_table(["#subgoals", "Σ-minimal", "query"], rows)

@@ -204,6 +204,10 @@ def _cmd_reformulate(args) -> int:
         query, args.semantics, check_sigma_minimality=not args.show_all
     )
     print(f"universal plan: {render_query(result.universal_plan)}")
+    print(
+        f"{result.candidates_examined} candidates examined, "
+        f"{result.candidates_chased} chased"
+    )
     pool = result.reformulations if args.show_all else result.minimal_reformulations
     label = "equivalent reformulations" if args.show_all else "Σ-minimal reformulations"
     print(f"{len(pool)} {label}:")

@@ -12,10 +12,12 @@ replacing variables and works modulo a dependency set, lives in
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .containment import is_set_equivalent
-from .homomorphism import iter_homomorphisms
+from .homomorphism import Homomorphism, iter_homomorphisms
 from .query import ConjunctiveQuery
-from .terms import Variable
+from .terms import Term, Variable
 
 
 def drop_atom_if_safe(query: ConjunctiveQuery, index: int) -> ConjunctiveQuery | None:
@@ -76,7 +78,15 @@ def core_endomorphisms(query: ConjunctiveQuery) -> list[dict]:
     of Definition 3.1, which considers replacing variables of a query by
     other variables of the same query.
     """
-    fixed = {}
-    for term in query.head_terms:
-        fixed[term] = term
-    return list(iter_homomorphisms(query.body, query.body, fixed=fixed))
+    return list(iter_core_endomorphisms(query))
+
+
+def iter_core_endomorphisms(query: ConjunctiveQuery) -> Iterator[Homomorphism]:
+    """:func:`core_endomorphisms` lazily, in the same order.
+
+    A query with n same-predicate atoms that share only the head variable
+    has nⁿ endomorphisms, so a search that may stop early should not build
+    them all first.
+    """
+    fixed: dict[Term, Term] = {term: term for term in query.head_terms}
+    return iter_homomorphisms(query.body, query.body, fixed=fixed)

@@ -31,6 +31,19 @@ def iter_subqueries(
     ``max_size`` caps the body size of generated candidates; ``include_full``
     controls whether the universal plan itself (the full body) is yielded.
     """
+    for _, candidate in iter_indexed_subqueries(
+        universal_plan, min_size, max_size, include_full
+    ):
+        yield candidate
+
+
+def iter_indexed_subqueries(
+    universal_plan: ConjunctiveQuery,
+    min_size: int = 1,
+    max_size: int | None = None,
+    include_full: bool = True,
+) -> Iterator[tuple[tuple[int, ...], ConjunctiveQuery]]:
+    """:func:`iter_subqueries`, each candidate paired with its body positions in the plan."""
     body = universal_plan.body
     head_variables = {
         term for term in universal_plan.head_terms if isinstance(term, Variable)
@@ -44,7 +57,7 @@ def iter_subqueries(
             covered = {v for atom in atoms for v in atom.variables()}
             if not head_variables <= covered:
                 continue
-            yield ConjunctiveQuery(
+            yield indices, ConjunctiveQuery(
                 universal_plan.head_predicate, universal_plan.head_terms, atoms
             )
 

@@ -16,10 +16,10 @@ paper targets; the docstring records the restriction explicitly.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..core.aggregate import AggregateQuery
-from ..core.minimization import core_endomorphisms
+from ..core.minimization import iter_core_endomorphisms
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Term, Variable
 from ..dependencies.base import Dependency, DependencySet
@@ -28,19 +28,25 @@ from ..chase.set_chase import DEFAULT_MAX_STEPS
 from ..equivalence.under_dependencies import equivalent_under_dependencies
 
 
-def _candidate_substitutions(query: ConjunctiveQuery) -> list[dict[Term, Term]]:
-    """Identity plus the query's head-preserving variable→variable endomorphisms."""
-    substitutions: list[dict[Term, Term]] = [{}]
-    for endomorphism in core_endomorphisms(query):
+def _candidate_substitutions(query: ConjunctiveQuery) -> Iterator[dict[Term, Term]]:
+    """Identity, then the query's head-preserving variable→variable endomorphisms.
+
+    Lazy, so a search that finds an equivalent shortened query early never
+    enumerates the rest (there can be nⁿ of them).
+    """
+    yield {}
+    seen: set[frozenset[tuple[Term, Term]]] = set()
+    for endomorphism in iter_core_endomorphisms(query):
         mapping: dict[Term, Term] = {
             source: target
             for source, target in endomorphism.items()
             if isinstance(source, Variable) and isinstance(target, Variable)
             and source != target
         }
-        if mapping and mapping not in substitutions:
-            substitutions.append(mapping)
-    return substitutions
+        key = frozenset(mapping.items())
+        if mapping and key not in seen:
+            seen.add(key)
+            yield mapping
 
 
 def is_sigma_minimal(

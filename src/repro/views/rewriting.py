@@ -51,6 +51,7 @@ from ..dependencies.base import Dependency, DependencySet
 from ..equivalence.under_dependencies import equivalent_under_dependencies
 from ..exceptions import ReformulationError
 from ..reformulation.candidates import iter_subqueries
+from ..reformulation.cb import IsomorphismBuckets
 from ..semantics import Semantics
 from ..chase.set_chase import DEFAULT_MAX_STEPS
 from ..chase.sound_chase import sound_chase
@@ -194,6 +195,7 @@ def _collect_rewritings(
         for view in views
         if _view_usable_under(view, semantics, dependencies)
     }
+    distinct = IsomorphismBuckets()
     for candidate in iter_subqueries(universal_plan, max_size=max_candidate_size):
         used_views = {
             atom.predicate for atom in candidate.body if atom.predicate in views.view_names()
@@ -210,7 +212,7 @@ def _collect_rewritings(
             expansion, query, dependencies, semantics, max_steps
         ):
             continue
-        if any(are_isomorphic(candidate, existing) for existing in result.rewritings):
+        if not distinct.add_if_new(candidate):
             continue
         result.rewritings.append(candidate)
         result.expansions[id(candidate)] = expansion

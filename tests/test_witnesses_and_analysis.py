@@ -137,5 +137,6 @@ class TestReporting:
         result = bag_c_and_b(ex41.q4, ex41.dependencies, check_sigma_minimality=False)
         table = reformulation_table(result)
         assert "reformulations of Q4" in table
+        assert f"{result.candidates_chased} chased" in table
         assert "#subgoals" in table
         assert str(len(result.reformulations)) in table
