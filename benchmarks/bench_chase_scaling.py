@@ -64,9 +64,13 @@ SCALING_TIERS = {
 #: tgds (the chain and star tiers' inclusion / spoke tgds) measured 24-27x
 #: against 9-11x before it (two runs each, 2-vCPU VM), so the floor rises to
 #: 15x; the clique tier (full tgds, Proposition 4.3) now dominates the
-#: accelerated time.  Asserting the ratio rather than seconds keeps the bar
-#: meaningful across machines.
-SCALING_SPEEDUP_FLOOR = {"medium": 2.0, "large": 15.0}
+#: accelerated time.  Cutting the chase's per-step overhead (one body index
+#: grown across a run, a flat loop for one-atom match plans, compiled tgd
+#: steps, Definition 4.3 gates decided once per run) measured 41-54x against
+#: 21-28x before it (six and five runs, 2-vCPU VM), so the floor rises to
+#: 30x.  Asserting the ratio rather than seconds keeps the bar meaningful
+#: across machines.
+SCALING_SPEEDUP_FLOOR = {"medium": 2.0, "large": 30.0}
 SCALING_MAX_STEPS = 5000
 
 #: PR 4's recorded large-tier accelerated wall time and reference speedup,

@@ -54,6 +54,7 @@ from typing import Any, Hashable, Iterable, Mapping, Sequence
 import time
 
 from ..core.atoms import Atom
+from ..core.homomorphism import TargetIndex
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Constant, Term, Variable
 from ..dependencies.base import EGD, TGD, Dependency, DependencySet
@@ -557,7 +558,6 @@ def has_applicable_step(
     resumed run's terminal state is a genuine fixpoint rather than an
     artifact of wrongly-seeded clean bits.
     """
-    from ..core.homomorphism import TargetIndex
     from .set_chase import _first_applicable_egd_step, _first_applicable_tgd_step
 
     semantics = Semantics.from_name(semantics)
@@ -567,35 +567,28 @@ def has_applicable_step(
     profile = ChaseProfile(semantics=str(semantics))
     index = TargetIndex(query.body)
     egd_state = TriggerIndex.from_trigger_map(len(plans.egds), plans.egd_trigger_map)
-    if (
-        _first_applicable_egd_step(
-            query, plans.egds, index, egd_state, profile, plans.egd_plans
-        )
-        is not None
-    ):
+    if _first_applicable_egd_step(query, plans.egd_plans, index, egd_state, profile) is not None:
         return True
     tgd_state = TriggerIndex.from_trigger_map(len(plans.tgds), plans.tgd_trigger_map)
     if semantics is Semantics.SET:
         return (
-            _first_applicable_tgd_step(
-                query, plans.tgds, index, tgd_state, profile, plans.tgd_plans
-            )
+            _first_applicable_tgd_step(query, plans.tgd_plans, index, tgd_state, profile)
             is not None
         )
     return (
         _first_sound_tgd_step(
             query,
-            plans.tgds,
-            DependencySet(plans.items),
+            plans,
+            plans.dependency_set(),
             semantics,
             sigma.set_valued_predicates,
             max_steps,
-            index=index,
-            state=tgd_state,
-            profile=profile,
-            memo={},
-            plans=plans.tgd_plans,
-            plan_cache=cache,
+            index,
+            tgd_state,
+            profile,
+            {},
+            cache,
+            plans.assignment_fixing_rule().holds_for(query),
         )
         is not None
     )
@@ -701,13 +694,11 @@ def _resume_bag(
     max_steps: int,
     cache: PlanCache,
 ) -> ResumeOutcome:
-    from ..core.homomorphism import TargetIndex
-
     plan_stats = cache.snapshot()
     old_plans = cache.plans_for(checkpoint.sigma, regularize=True)
     plans = cache.plans_for(new_sigma, regularize=True)
     _check_sigma_extends(old_plans, plans)
-    items_sigma = DependencySet(plans.items)
+    items_sigma = plans.dependency_set()
     set_valued = new_sigma.set_valued_predicates
     dedup_predicates: set[str] | None
     dedup_predicates = set(set_valued) if semantics is Semantics.BAG else None
@@ -727,7 +718,10 @@ def _resume_bag(
     # Replay-validate the checkpointed provenance in order against states
     # that include the delta.  Theorems 4.1/4.3: egd steps are always sound;
     # tgd steps must still be applicable (non-satisfied) triggers and still
-    # assignment-fixing against the grown state and Σ.
+    # assignment-fixing against the grown state and Σ.  One body index
+    # serves the replay: tgd records grow it, egd records (which rewrite
+    # terms) drop it, and the next tgd record rebuilds it.
+    index: TargetIndex | None = None
     for record in checkpoint.result.steps:
         if record.kind == "egd":
             body = set(current.body)
@@ -739,6 +733,7 @@ def _resume_bag(
             current = current.substitute(record.substitution)
             current = deduplicate_body(current, dedup_predicates)
             records.append(record)
+            index = None
             continue
         tgd = record.dependency
         assert isinstance(tgd, TGD)
@@ -749,7 +744,8 @@ def _resume_bag(
         position = tgd_positions.get(_dependency_key(tgd))
         if position is None:
             raise _ResumeAbandoned("replay-dependency-lost")
-        index = TargetIndex(current.body)
+        if index is None:
+            index = TargetIndex(current.body)
         if not is_recorded_trigger_applicable(
             current, tgd, record.homomorphism,
             index=index, plan=plans.tgd_plans[position],
@@ -761,6 +757,7 @@ def _resume_bag(
         ):
             raise _ResumeAbandoned("replay-not-assignment-fixing")
         current = current.add_atoms(record.added_atoms)
+        index.extend(record.added_atoms)
         records.append(record)
 
     replayed = len(records)

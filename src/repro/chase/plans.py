@@ -17,9 +17,10 @@ each dependency's atoms into :class:`~repro.core.plan.MatchPlan` int plans
 * :class:`AssignmentFixingRule` — Σ's chase-free Definition 4.3 verdicts
   for key-determined tgds, built lazily once per :class:`SigmaPlans`;
 * :class:`PlanCache` — a bounded LRU keyed by the
-  :attr:`~repro.dependencies.base.DependencySet.fingerprint` of Σ (plus the
-  dependency display names, which the fingerprint deliberately drops but
-  which appear verbatim in step records, and the ``regularize`` flag).
+  :attr:`~repro.dependencies.base.DependencySet.plan_key` of Σ (its
+  fingerprint plus the dependency display names, which the fingerprint
+  deliberately drops but which appear verbatim in step records) and the
+  ``regularize`` flag.
 
 The cache also amortizes regularization itself: a hit returns the already
 regularized dependency list, so the nested Definition 4.3 test chases stop
@@ -40,7 +41,7 @@ from typing import Hashable, Iterable, Sequence
 from ..core.atoms import atoms_constants
 from ..core.plan import MatchPlan, shared_slot_links
 from ..core.query import ConjunctiveQuery
-from ..core.terms import Constant, Term
+from ..core.terms import Constant, Term, Variable
 from ..dependencies.base import EGD, TGD, Dependency, DependencySet
 from ..dependencies.classify import extract_positional_fds, is_keyed_by_universal_positions
 from ..dependencies.regularize import regularize_dependencies
@@ -55,9 +56,22 @@ class TGDPlan:
     applicability probe (can this match be extended to the conclusion?) runs
     entirely at the binding level — see
     :func:`repro.core.homomorphism.has_match_from_binding`.
+
+    ``existential`` and ``variable_names`` compile the step itself: the
+    variables a step instantiates fresh (none for a full tgd, Proposition
+    4.3), and the names a fresh variable must avoid besides the run's used
+    names (see :func:`repro.chase.steps.apply_tgd_step`).
     """
 
-    __slots__ = ("tgd", "premise", "conclusion", "conclusion_links", "premise_predicates")
+    __slots__ = (
+        "tgd",
+        "premise",
+        "conclusion",
+        "conclusion_links",
+        "premise_predicates",
+        "existential",
+        "variable_names",
+    )
 
     def __init__(self, tgd: TGD):
         self.tgd = tgd
@@ -65,6 +79,8 @@ class TGDPlan:
         self.conclusion = MatchPlan(tgd.conclusion)
         self.conclusion_links = shared_slot_links(self.premise, self.conclusion)
         self.premise_predicates = frozenset(a.predicate for a in tgd.premise)
+        self.existential: tuple[Variable, ...] = tuple(tgd.existential_variables())
+        self.variable_names = frozenset(v.name for v in tgd.all_variables())
 
 
 class EGDPlan:
@@ -150,7 +166,10 @@ class AssignmentFixingRule:
     Built once per :class:`SigmaPlans` (see
     :meth:`SigmaPlans.assignment_fixing_rule`); the per-tgd gate-1 verdicts
     are memoized, so a hot call costs two dict lookups plus, when Q holds
-    constants, one pass over its body.
+    constants, one pass over its body.  A sound-chase run asks
+    :meth:`holds_for` once, on its start state, and then only
+    :meth:`is_key_determined` per tgd (see :meth:`holds_for` for why that is
+    exact).
     """
 
     __slots__ = ("constant_free", "premise_predicates", "_fds", "_keyed")
@@ -180,13 +199,22 @@ class AssignmentFixingRule:
             self._keyed[tgd] = keyed
         return keyed
 
-    def decides(self, query: ConjunctiveQuery, tgd: TGD) -> bool:
-        """Is *tgd* assignment fixing w.r.t. *query* by this rule alone?
+    def holds_for(self, query: ConjunctiveQuery) -> bool:
+        """Gates 2 and 3 on *query*: the tgd-independent half of the rule.
 
-        False means "not decided here" (run the test chase), not "not
-        assignment fixing".
+        A chase under Σ decides them once, on its start state, because
+        every state it reaches gives the same answer.  Gate 2 is a property
+        of Σ alone.  Suppose gate 3 holds as well: no atom whose predicate a
+        premise mentions holds a constant.  A trigger maps a premise into
+        such atoms, so its images are variables; a tgd step then adds those
+        images plus fresh variables, and an egd step equates two variables.
+        So no step puts a constant into such an atom, and gate 3 keeps
+        holding.  Conversely, no step removes a constant from the body: tgd
+        steps only append, an egd step replaces a variable (never a
+        constant), and deduplication keeps one copy of each atom.  So a
+        failed gate 3 keeps failing.
         """
-        if not self.constant_free or not self.is_key_determined(tgd):
+        if not self.constant_free:
             return False
         if query.constants():
             premise_predicates = self.premise_predicates
@@ -194,6 +222,14 @@ class AssignmentFixingRule:
                 if atom.predicate in premise_predicates and atoms_constants((atom,)):
                     return False
         return True
+
+    def decides(self, query: ConjunctiveQuery, tgd: TGD) -> bool:
+        """Is *tgd* assignment fixing w.r.t. *query* by this rule alone?
+
+        False means "not decided here" (run the test chase), not "not
+        assignment fixing".
+        """
+        return self.holds_for(query) and self.is_key_determined(tgd)
 
 
 class SigmaPlans:
@@ -252,12 +288,15 @@ class SigmaPlans:
 class PlanCache:
     """A bounded LRU of :class:`SigmaPlans` per dependency set.
 
-    Keys combine Σ's memoized fingerprint with the dependency display names
-    (two Σs equal up to names must not share plans — step records print the
-    names) and the driver's ``regularize`` flag.  ``hits`` / ``misses`` /
-    ``evictions`` mirror the chase cache's counters; the chase drivers fold
-    the per-run deltas into their :class:`~repro.chase.profile.ChaseProfile`
-    as ``plans_reused`` / ``plans_compiled``.
+    Keys combine Σ's memoized :attr:`~repro.dependencies.base.DependencySet.
+    plan_key` — its fingerprint plus the dependency display names (two Σs
+    equal up to names must not share plans — step records print the names),
+    hashed once per Σ — with the driver's ``regularize`` flag, so a warm
+    lookup hashes a pair instead of re-walking Σ's atoms.  ``hits`` /
+    ``misses`` / ``evictions`` mirror the chase cache's counters; the chase
+    drivers fold the per-run deltas into their
+    :class:`~repro.chase.profile.ChaseProfile` as ``plans_reused`` /
+    ``plans_compiled``.
     """
 
     __slots__ = ("maxsize", "_entries", "hits", "misses", "evictions")
@@ -279,11 +318,7 @@ class PlanCache:
     ) -> SigmaPlans:
         """The compiled plans of *dependencies*, compiling on first use."""
         sigma = DependencySet.coerce(dependencies)
-        key = (
-            sigma.fingerprint,
-            tuple(d.name for d in sigma.dependencies),
-            regularize,
-        )
+        key = (sigma.plan_key, regularize)
         entries = self._entries
         plans = entries.get(key)
         if plans is not None:

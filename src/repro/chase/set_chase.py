@@ -14,6 +14,14 @@ Chase termination is undecidable in general; weakly acyclic dependency sets
 (see :mod:`repro.dependencies.weak_acyclicity`) are guaranteed to terminate.
 A :class:`~repro.exceptions.ChaseNonTerminationError` is raised when the
 budget runs out.
+
+A chase step's Python work follows what the step adds.  The run keeps one
+:class:`~repro.core.homomorphism.TargetIndex` over the body: a tgd step only
+appends atoms, so it extends the index with them, and only an egd step,
+which rewrites terms, rebuilds it.  A tgd step is applied through the tgd's
+compiled :class:`~repro.chase.plans.TGDPlan`, which checks fresh names
+against the run's used-name set alone and skips the grown query's safety
+check.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Sequence
 from ..core.homomorphism import Homomorphism, TargetIndex
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Term
-from ..dependencies.base import EGD, TGD, Dependency, DependencySet
+from ..dependencies.base import EGD, Dependency, DependencySet
 from ..exceptions import ChaseNonTerminationError
 from ..semantics import Semantics
 from .delta import ChaseCapture, TriggerIndex
@@ -68,11 +76,10 @@ class ChaseResult:
 
 def _first_applicable_egd_step(
     query: ConjunctiveQuery,
-    egds: Sequence[EGD],
+    plans: Sequence[EGDPlan],
     index: TargetIndex,
     state: TriggerIndex,
     profile: ChaseProfile,
-    plans: Sequence[EGDPlan],
 ) -> tuple[EGD, Homomorphism, Term, Term] | None:
     """First applicable egd trigger in Σ order, delta-skipping clean egds.
 
@@ -80,11 +87,11 @@ def _first_applicable_egd_step(
     no-trigger verdict is stable until an added atom matches its premise or
     an egd step rewrites the query (see :mod:`repro.chase.delta`).
     """
-    for position, egd in enumerate(egds):
+    for position, plan in enumerate(plans):
         if state.is_clean(position):
             profile.dependencies_skipped += 1
             continue
-        plan = plans[position]
+        egd = plan.egd
         for match, left, right in iter_applicable_egd_bindings(
             query, egd, index=index, plan=plan
         ):
@@ -97,30 +104,29 @@ def _first_applicable_egd_step(
 
 def _first_applicable_tgd_step(
     query: ConjunctiveQuery,
-    tgds: Sequence[TGD],
+    plans: Sequence[TGDPlan],
     index: TargetIndex,
     state: TriggerIndex,
     profile: ChaseProfile,
-    plans: Sequence[TGDPlan],
-) -> tuple[TGD, Homomorphism] | None:
+) -> tuple[TGDPlan, Homomorphism] | None:
     """First applicable tgd trigger in Σ order, delta-skipping clean tgds.
 
     Under set semantics every applicable homomorphism fires, so a completed
     scan means the tgd has no applicable homomorphism at all — a verdict
     stable under growth (extendability to the conclusion is monotone) and
-    therefore always safe to mark clean.
+    therefore always safe to mark clean.  Returns the tgd's plan, which the
+    caller applies the step with.
     """
-    for position, tgd in enumerate(tgds):
+    for position, plan in enumerate(plans):
         if state.is_clean(position):
             profile.dependencies_skipped += 1
             continue
-        plan = plans[position]
         for match in iter_applicable_tgd_bindings(
-            query, tgd, index=index, plan=plan
+            query, plan.tgd, index=index, plan=plan
         ):
             profile.triggers_examined += 1
             # Only the applied trigger crosses the dict boundary.
-            return tgd, trigger_homomorphism(plan, match)
+            return plan, trigger_homomorphism(plan, match)
         state.mark_clean(position)
     return None
 
@@ -142,16 +148,22 @@ def _drive_set_chase(
     :mod:`repro.chase.incremental` (state seeded from a checkpoint): the
     caller owns the trigger indexes, the used-name set, and the record list,
     so a continuation run starts exactly where a previous fixpoint left off.
-    Mutates *records*, *used_names*, and the trigger states in place and
-    returns the terminal query; raises :class:`ChaseNonTerminationError`
-    after *max_steps* rounds.
+    *used_names* must hold every variable name of *current* (tgd steps are
+    applied through their compiled plans, see
+    :func:`~repro.chase.steps.apply_tgd_step`).  Mutates *records*,
+    *used_names*, and the trigger states in place and returns the terminal
+    query; raises :class:`ChaseNonTerminationError` after *max_steps*
+    rounds.
+
+    One :class:`TargetIndex` serves the run: a tgd step only appends atoms,
+    so the index is extended with them; an egd step rewrites terms, so the
+    index is rebuilt.  Its counters are retired once per index.
     """
-    egds, tgds = plans.egds, plans.tgds
     index = TargetIndex(current.body)
     for _ in range(max_steps):
         profile.rounds += 1
         egd_step = _first_applicable_egd_step(
-            current, egds, index, egd_state, profile, plans.egd_plans
+            current, plans.egd_plans, index, egd_state, profile
         )
         if egd_step is not None:
             egd, hom, left, right = egd_step
@@ -166,18 +178,19 @@ def _drive_set_chase(
             index = TargetIndex(current.body)
             continue
         tgd_step = _first_applicable_tgd_step(
-            current, tgds, index, tgd_state, profile, plans.tgd_plans
+            current, plans.tgd_plans, index, tgd_state, profile
         )
         if tgd_step is not None:
-            tgd, hom = tgd_step
-            current, record = apply_tgd_step(current, tgd, hom, used_names)
+            plan, hom = tgd_step
+            current, record = apply_tgd_step(
+                current, plan.tgd, hom, used_names, plan=plan
+            )
             records.append(record)
             profile.tgd_steps += 1
             added = {atom.predicate for atom in record.added_atoms}
             egd_state.note_added(added)
             tgd_state.note_added(added)
-            profile.retire_index(index)
-            index = TargetIndex(current.body)
+            index.extend(record.added_atoms)
             continue
         profile.retire_index(index)
         return current
@@ -207,7 +220,8 @@ def set_chase(
     which is always harmless under set semantics.
 
     The loop is delta-driven: one :class:`TargetIndex` over the current body
-    is shared by every dependency probe of a round, a :class:`TriggerIndex`
+    is shared by every dependency probe of the run (grown in place by tgd
+    steps, rebuilt after egd steps), a :class:`TriggerIndex`
     per dependency kind skips dependencies that provably cannot have gained
     a trigger since their last clean scan, and each dependency's compiled
     match plans are served per Σ from ``plan_cache`` (default: the

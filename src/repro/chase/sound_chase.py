@@ -23,14 +23,18 @@ Examples 4.4–4.5 show the failure modes otherwise.
 
 The loop is delta-driven (see :mod:`repro.chase.delta`): one
 :class:`~repro.core.homomorphism.TargetIndex` over the current body serves
-every dependency probe of a round, a :class:`~repro.chase.delta.TriggerIndex`
-skips dependencies that provably cannot have gained a trigger, and
-Definition 4.3 verdicts are memoized per canonicalized test query within the
-run, or settled without a test chase for key-determined tgds (see
-:class:`~repro.chase.plans.AssignmentFixingRule`).  The applied step
-sequence is byte-identical to the pre-index implementation (frozen in
-:mod:`repro.chase.reference`); each result carries a
-:class:`~repro.chase.profile.ChaseProfile` of the work done and skipped.
+every dependency probe of the run — tgd steps extend it with the atoms they
+add, egd steps (which rewrite terms) rebuild it — and a
+:class:`~repro.chase.delta.TriggerIndex` skips dependencies that provably
+cannot have gained a trigger.  Definition 4.3 verdicts are memoized per
+canonicalized test query within the run, or settled without a test chase:
+full tgds by Proposition 4.3, key-determined tgds by
+:class:`~repro.chase.plans.AssignmentFixingRule`, whose query gates are
+decided once per run.  Tgd steps are applied through their compiled
+:class:`~repro.chase.plans.TGDPlan`, so a step's Python work follows what
+it adds.  The applied step sequence is byte-identical to the pre-index
+implementation (frozen in :mod:`repro.chase.reference`); each result carries
+a :class:`~repro.chase.profile.ChaseProfile` of the work done and skipped.
 """
 
 from __future__ import annotations
@@ -68,18 +72,18 @@ def _split(dependencies: DependencySet | Sequence[Dependency]) -> tuple[
 
 def _first_sound_tgd_step(
     query: ConjunctiveQuery,
-    tgds: Sequence[TGD],
-    all_dependencies: DependencySet | Sequence[Dependency],
+    plans: SigmaPlans,
+    items_sigma: DependencySet,
     semantics: Semantics,
     set_valued: frozenset[str],
     max_steps: int,
-    index: TargetIndex | None = None,
-    state: TriggerIndex | None = None,
-    profile: ChaseProfile | None = None,
-    memo: dict[Hashable, bool] | None = None,
-    plans: Sequence[TGDPlan] | None = None,
-    plan_cache: PlanCache | None = None,
-) -> tuple[TGD, Homomorphism] | None:
+    index: TargetIndex,
+    state: TriggerIndex,
+    profile: ChaseProfile,
+    memo: dict[Hashable, bool],
+    plan_cache: PlanCache,
+    gates_hold: bool,
+) -> tuple[TGDPlan, Homomorphism] | None:
     """First sound tgd trigger in Σ order, delta-skipping where exact.
 
     A tgd is only marked clean when its scan found *no applicable
@@ -89,34 +93,47 @@ def _first_sound_tgd_step(
     the whole current query and can flip to sound as the query grows, so the
     old full-rescan behaviour is preserved exactly for those tgds (the
     per-run ``memo`` absorbs the repeated test chases instead).
+
+    Two kinds of tgd are assignment fixing for every trigger, so their
+    verdicts are read off without a Definition 4.3 test: full tgds
+    (Proposition 4.3) and, when *gates_hold* says the run's state passes
+    gates 2 and 3 of :class:`~repro.chase.plans.AssignmentFixingRule`,
+    key-determined ones.  Only the rest go through
+    :func:`is_assignment_fixing_for`.
+    Returns the tgd's plan, which the caller applies the step with.
     """
-    for position, tgd in enumerate(tgds):
+    rule = plans.assignment_fixing_rule()
+    for position, plan in enumerate(plans.tgd_plans):
+        tgd = plan.tgd
         if semantics is Semantics.BAG:
             # Theorem 4.1(1): every added subgoal must be over a set-valued relation.
             if not all(atom.predicate in set_valued for atom in tgd.conclusion):
                 continue
-        if state is not None and state.is_clean(position):
-            if profile is not None:
-                profile.dependencies_skipped += 1
+        if state.is_clean(position):
+            profile.dependencies_skipped += 1
             continue
+        full = not plan.existential
+        static = full or (gates_hold and rule.is_key_determined(tgd))
         applicable = False
-        plan = plans[position] if plans is not None else TGDPlan(tgd)
         for match in iter_applicable_tgd_bindings(
             query, tgd, index=index, plan=plan,
         ):
             applicable = True
-            if profile is not None:
-                profile.triggers_examined += 1
+            profile.triggers_examined += 1
             # The Definition 4.3 test needs the trigger as a mapping (it
             # instantiates the associated test query with it), so applicable
             # triggers — and only those — cross the dict boundary.
             homomorphism = trigger_homomorphism(plan, match)
+            if static:
+                if not full:
+                    profile.assignment_fixing_static += 1
+                return plan, homomorphism
             if is_assignment_fixing_for(
-                query, tgd, homomorphism, all_dependencies, max_steps,
+                query, tgd, homomorphism, items_sigma, max_steps,
                 memo=memo, profile=profile, plan_cache=plan_cache,
             ):
-                return tgd, homomorphism
-        if state is not None and not applicable:
+                return plan, homomorphism
+        if not applicable:
             state.mark_clean(position)
     return None
 
@@ -143,16 +160,24 @@ def _drive_sound_chase(
     in :mod:`repro.chase.incremental` (state seeded from a replayed
     checkpoint).  The caller owns the trigger indexes, the used-name set,
     the record list, and the Definition 4.3 memo; all are mutated in place.
-    Returns the terminal query; raises :class:`ChaseNonTerminationError`
-    after *max_steps* rounds.
+    *used_names* must hold every variable name of *current* (tgd steps are
+    applied through their compiled plans, see
+    :func:`~repro.chase.steps.apply_tgd_step`).  Returns the terminal query;
+    raises :class:`ChaseNonTerminationError` after *max_steps* rounds.
+
+    Per-run work is done once: gates 2 and 3 of Σ's
+    :class:`~repro.chase.plans.AssignmentFixingRule` are decided on the
+    start state (they then hold, or fail, for the whole run), and one
+    :class:`TargetIndex` is extended by tgd steps and rebuilt only after egd
+    steps, its counters retired once per index.
     """
-    egds, tgds = plans.egds, plans.tgds
+    gates_hold = plans.assignment_fixing_rule().holds_for(current)
     index = TargetIndex(current.body)
     for _ in range(max_steps):
         profile.rounds += 1
         # Egd steps are always sound under both semantics (Theorems 4.1/4.3 item 2).
         egd_step = _first_applicable_egd_step(
-            current, egds, index, egd_state, profile, plans.egd_plans
+            current, plans.egd_plans, index, egd_state, profile
         )
         if egd_step is not None:
             egd, hom, left, right = egd_step
@@ -167,13 +192,14 @@ def _drive_sound_chase(
             continue
 
         tgd_step = _first_sound_tgd_step(
-            current, tgds, items_sigma, semantics, set_valued, max_steps,
-            index=index, state=tgd_state, profile=profile, memo=af_memo,
-            plans=plans.tgd_plans, plan_cache=cache,
+            current, plans, items_sigma, semantics, set_valued, max_steps,
+            index, tgd_state, profile, af_memo, cache, gates_hold,
         )
         if tgd_step is not None:
-            tgd, hom = tgd_step
-            current, record = apply_tgd_step(current, tgd, hom, used_names)
+            plan, hom = tgd_step
+            current, record = apply_tgd_step(
+                current, plan.tgd, hom, used_names, plan=plan
+            )
             # No deduplication here, unlike the egd branch: a regularized tgd
             # step cannot duplicate an existing subgoal — every conclusion
             # atom of a regularized non-full tgd carries at least one
@@ -189,8 +215,7 @@ def _drive_sound_chase(
             added = {atom.predicate for atom in record.added_atoms}
             egd_state.note_added(added)
             tgd_state.note_added(added)
-            profile.retire_index(index)
-            index = TargetIndex(current.body)
+            index.extend(record.added_atoms)
             continue
         profile.retire_index(index)
         return current
@@ -233,9 +258,9 @@ def sound_chase(
     _, set_valued = _split(dependencies)
     plans = cache.plans_for(dependencies, regularize=True)
     egds, tgds = plans.egds, plans.tgds
-    # Wrapped once so the nested Definition 4.3 test chases key their plan
-    # lookups on a memoized fingerprint instead of re-walking the list.
-    items_sigma = DependencySet(plans.items)
+    # The plans' memoized wrapper: the nested Definition 4.3 test chases key
+    # their plan lookups on its memoized key instead of re-walking the list.
+    items_sigma = plans.dependency_set()
     dedup_predicates: set[str] | None
     if semantics is Semantics.BAG:
         dedup_predicates = set(set_valued)

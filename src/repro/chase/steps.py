@@ -220,15 +220,54 @@ def conclusion_instantiation(
     return atoms, fresh
 
 
+def _compiled_instantiation(
+    plan: TGDPlan, homomorphism: Mapping[Term, Term], used_names: set[str]
+) -> tuple[Atom, ...]:
+    """:func:`conclusion_instantiation` from a compiled plan.
+
+    Fresh names avoid *used_names* and the plan's variable names only; with
+    *used_names* covering every variable of the query, that is the same
+    forbidden set, so the names (and the atoms) are the same.
+    """
+    substitution: dict[Term, Term] = dict(homomorphism)
+    own_names = plan.variable_names
+    for variable in plan.existential:
+        hint = candidate = variable.name
+        suffix = 0
+        while candidate in used_names or candidate in own_names:
+            suffix += 1
+            candidate = f"{hint}_{suffix}"
+        used_names.add(candidate)
+        substitution[variable] = Variable(candidate)
+    return tuple(atom.substitute(substitution) for atom in plan.tgd.conclusion)
+
+
 def apply_tgd_step(
     query: ConjunctiveQuery,
     tgd: TGD,
     homomorphism: Mapping[Term, Term],
     used_names: set[str] | None = None,
+    *,
+    plan: TGDPlan | None = None,
 ) -> tuple[ConjunctiveQuery, ChaseStepRecord]:
-    """Apply one tgd chase step and return the rewritten query plus its record."""
-    atoms, _ = conclusion_instantiation(query, tgd, homomorphism, used_names)
-    new_query = query.add_atoms(atoms)
+    """Apply one tgd chase step and return the rewritten query plus its record.
+
+    ``plan`` (compiled from exactly *tgd*) makes the step's cost follow what
+    it adds: fresh names are checked against *used_names* and the plan's
+    variable names only, which requires *used_names* to hold every variable
+    name of *query* — the chase drivers' run-wide set does — and the grown
+    query skips the safety check, which appending atoms cannot fail.
+    """
+    if plan is None:
+        atoms, _ = conclusion_instantiation(query, tgd, homomorphism, used_names)
+        new_query = query.add_atoms(atoms)
+    else:
+        if used_names is None:
+            used_names = set(query.variable_names())
+        atoms = _compiled_instantiation(plan, homomorphism, used_names)
+        new_query = ConjunctiveQuery(
+            query.head_predicate, query.head_terms, query.body + atoms, validate=False
+        )
     record = ChaseStepRecord(
         dependency=tgd,
         homomorphism=dict(homomorphism),

@@ -50,10 +50,11 @@ and passed to many searches against the same target conjunction
 (``iter_homomorphisms(..., index=...)``), and a ``MatchPlan`` can be
 compiled once and passed to many searches from the same source
 (``iter_homomorphisms(..., plan=...)``).  The chase drivers do exactly that
-— inside one chase round every dependency probe hits the same query body
-(one index per round), and the per-dependency premise/conclusion plans are
-compiled once per Σ and reused across rounds *and runs* (see
-:mod:`repro.chase.plans`).
+— every dependency probe of a run hits the same index over the query body
+(one index per run, grown in place by tgd steps through
+:meth:`TargetIndex.extend` and rebuilt only after egd steps, which rewrite
+terms), and the per-dependency premise/conclusion plans are compiled once
+per Σ and reused across rounds *and runs* (see :mod:`repro.chase.plans`).
 """
 
 from __future__ import annotations
@@ -112,12 +113,17 @@ class TargetIndex:
       with that intern uid at *position*, used to narrow the group through
       the source atom's constants and already-bound variables.
 
-    The index is immutable with respect to its atoms and reusable across any
-    number of searches against the same target; ``lookups`` / ``narrowed``
-    count how often a candidate lookup happened and how often a posting list
-    strictly narrowed (or emptied) the predicate group — the chase profiler
-    reports their ratio as the index hit rate — and ``searches`` counts the
-    kernel searches run against the index.
+    The index is reusable across any number of searches against the same
+    target, and grows with it: :meth:`extend` appends atoms (a tgd chase
+    step's additions) in place, leaving every candidate list equal to the
+    one a fresh index over the grown target would give.  Growing is only
+    allowed while no search over the index is suspended — a one-atom search
+    iterates a posting list directly — so the chase drivers extend between
+    rounds, after the round's searches have finished.  ``lookups`` /
+    ``narrowed`` count how often a candidate lookup happened and how often a
+    posting list strictly narrowed (or emptied) the predicate group — the
+    chase profiler reports their ratio as the index hit rate — and
+    ``searches`` counts the kernel searches run against the index.
     """
 
     __slots__ = (
@@ -132,11 +138,32 @@ class TargetIndex:
     )
 
     def __init__(self, atoms: Sequence[Atom]):
-        self.atoms: tuple[Atom, ...] = tuple(atoms)
+        self.atoms: tuple[Atom, ...] = ()
         self._groups: dict[int, list[int]] = {}
         self._postings: dict[tuple[int, int, int], list[int]] = {}
+        self.extend(atoms)
+        self.lookups = 0
+        self.narrowed = 0
+        self.searches = 0
+        # Binding-level applicability accounting, incremented by the chase
+        # steps layer (see repro.chase.steps): conclusion probes run directly
+        # on a premise slot array, and premise matches discharged there
+        # without ever materializing a {variable: term} dict.
+        self.extension_probes = 0
+        self.dicts_avoided = 0
+
+    def extend(self, atoms: Sequence[Atom]) -> None:
+        """Append *atoms* to the target, indexing only them.
+
+        New atom ids follow the existing ones, so every group and posting
+        list stays in target-body order.  Not while a search over this
+        index is suspended (see the class docstring).
+        """
+        added = tuple(atoms)
+        start = len(self.atoms)
+        self.atoms += added
         groups, postings = self._groups, self._postings
-        for atom_id, atom in enumerate(self.atoms):
+        for atom_id, atom in enumerate(added, start):
             sig_id = atom.sig_id
             group = groups.get(sig_id)
             if group is None:
@@ -150,15 +177,6 @@ class TargetIndex:
                     postings[key] = [atom_id]
                 else:
                     posting.append(atom_id)
-        self.lookups = 0
-        self.narrowed = 0
-        self.searches = 0
-        # Binding-level applicability accounting, incremented by the chase
-        # steps layer (see repro.chase.steps): conclusion probes run directly
-        # on a premise slot array, and premise matches discharged there
-        # without ever materializing a {variable: term} dict.
-        self.extension_probes = 0
-        self.dicts_avoided = 0
 
     def candidate_ids(
         self, atom: Atom, mapping: Mapping[Term, Term]
@@ -249,7 +267,64 @@ def _kernel_search(
     between yields, so callers must copy whatever they keep.  Candidate
     exploration order is identical to the pre-kernel reference search
     (:func:`repro.core.reference.iter_homomorphisms_reference`).
+
+    Most probes have a one-atom source (a single-atom tgd conclusion, a
+    single-atom premise); those run the flat loop of
+    :func:`_one_atom_search`, every other plan the backtracking search.
     """
+    if len(plan.codes) == 1:
+        return _one_atom_search(plan, index, binding, bound_terms)
+    return _backtracking_search(plan, index, binding, bound_terms)
+
+
+def _one_atom_search(
+    plan: MatchPlan,
+    index: TargetIndex,
+    binding: list[int],
+    bound_terms: list[Term | None],
+) -> Iterator[list[int]]:
+    """:func:`_kernel_search` for a one-atom plan: one lookup, one loop.
+
+    The backtracking search would verify every candidate of the single atom
+    and then re-apply each verified one.  Binding while verifying, in
+    position order, gives the same matches in the same order, the same
+    trail and the same lookup count, without the search's setup.  The loop
+    runs over the index's own candidate list, which is why the index must
+    not grow while this search is suspended.
+    """
+    codes = plan.codes[0]
+    target_atoms = index.atoms
+    trail: list[int] = []
+    for atom_id in index.candidate_ids_coded(plan.sig_ids[0], codes, binding):
+        target_atom = target_atoms[atom_id]
+        term_ids = target_atom.term_ids
+        terms = target_atom.terms
+        for position, code in enumerate(codes):
+            uid = term_ids[position]
+            if code >= 0:
+                bound = binding[code]
+                if bound < 0:
+                    binding[code] = uid
+                    bound_terms[code] = terms[position]
+                    trail.append(code)
+                elif bound != uid:
+                    break
+            elif ~code != uid:
+                break
+        else:
+            yield trail
+        for slot in trail:
+            binding[slot] = -1
+        trail.clear()
+
+
+def _backtracking_search(
+    plan: MatchPlan,
+    index: TargetIndex,
+    binding: list[int],
+    bound_terms: list[Term | None],
+) -> Iterator[list[int]]:
+    """:func:`_kernel_search` for any plan: most-constrained-first backtracking."""
     atom_codes = plan.codes
     sig_ids = plan.sig_ids
     target_atoms = index.atoms

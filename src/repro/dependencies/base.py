@@ -223,6 +223,32 @@ def normalise_embedded_dependency(
     return result
 
 
+class _HashedKey:
+    """A hashable value that computes its hash once.
+
+    Pickling recomputes the hash: string hashes differ between processes.
+    """
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: Hashable):
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _HashedKey):
+            return NotImplemented
+        return self._hash == other._hash and self.value == other.value
+
+    def __reduce__(self) -> tuple[type["_HashedKey"], tuple[Hashable]]:
+        return (_HashedKey, (self.value,))
+
+
 @dataclass
 class DependencySet:
     """A finite set Σ of embedded dependencies plus set-valuedness information.
@@ -252,6 +278,10 @@ class DependencySet:
         # detected and triggers a recompute.
         self._fingerprint: (
             tuple[tuple[tuple[Dependency, ...], frozenset[str]], Hashable] | None
+        ) = None
+        # Memoized plan-cache key, under the same guard as the fingerprint.
+        self._plan_key: (
+            tuple[tuple[tuple[Dependency, ...], frozenset[str]], _HashedKey] | None
         ) = None
 
     @classmethod
@@ -298,6 +328,24 @@ class DependencySet:
         self._fingerprint = (guard, value)
         return value
 
+    @property
+    def plan_key(self) -> Hashable:
+        """The fingerprint plus the display names, as one key hashed once.
+
+        :class:`~repro.chase.plans.PlanCache` keys its compiled plans on
+        this (names split entries because step records print them).  A
+        plain tuple would re-hash Σ's nested atoms on every lookup; the
+        memoized key carries its hash, under the same mutation guard as
+        :attr:`fingerprint`.
+        """
+        guard = (tuple(self.dependencies), self.set_valued_predicates)
+        cached = self._plan_key
+        if cached is not None and cached[0] == guard:
+            return cached[1]
+        key = _HashedKey((self.fingerprint, tuple(d.name for d in guard[0])))
+        self._plan_key = (guard, key)
+        return key
+
     def __iter__(self) -> Iterator[Dependency]:
         return iter(self.dependencies)
 
@@ -330,6 +378,7 @@ class DependencySet:
         """Append a dependency (invalidates the memoized fingerprint)."""
         self.dependencies.append(dependency)
         self._fingerprint = None
+        self._plan_key = None
 
     def without(self, dependency: Dependency) -> "DependencySet":
         """A copy of the set with one dependency removed."""

@@ -174,6 +174,35 @@ class TestGates:
         with pytest.raises(ChaseFailedError):
             _is_assignment_fixing_for(query, foreign, hom, list(sigma), 100)
 
+    @pytest.mark.parametrize(
+        "extra, text",
+        [
+            # A constant in an atom whose predicate a premise mentions.
+            ("", "Q(X) :- p(X,Y), p(X, 7)"),
+            # A constant in Σ (the keyed tgd itself stays constant free).
+            ("p(X,Y) & w(X) -> f(X, 1)\n", "Q(X) :- p(X,Y)"),
+        ],
+    )
+    @pytest.mark.parametrize("semantics", SOUND_SEMANTICS)
+    def test_failed_gates_still_run_the_test_chase(self, extra, text, semantics):
+        """The sound chase decides gates 2 and 3 once per run: when either
+        fails on the start state, every trigger of the keyed tgd still goes
+        through the Definition 4.3 test chase, and the steps are the
+        reference engine's."""
+        sigma = DependencySet(
+            parse_dependencies(KEYED_SIGMA + extra).dependencies, ["s", "f"]
+        )
+        query = parse_query(text)
+        result = sound_chase(query, sigma, semantics)
+        reference = sound_chase_reference(query, sigma, semantics)
+        assert [str(step) for step in result.steps] == [
+            str(step) for step in reference.steps
+        ]
+        assert result.query == reference.query
+        assert result.profile.tgd_steps > 0
+        assert result.profile.assignment_fixing_tests > 0
+        assert result.profile.assignment_fixing_static == 0
+
     def test_classification_is_built_once_per_compiled_sigma(self):
         sigma = parse_dependencies(KEYED_SIGMA)
         plans = default_plan_cache().plans_for(sigma)

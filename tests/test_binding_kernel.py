@@ -188,3 +188,45 @@ class TestFixtureCounters:
         assert profile["extension_probes"] > 0
         assert profile["dicts_avoided"] > 0
         assert profile["subset_plans_reused"] > 0
+
+
+#: Per-chase ChaseProfile counters summed over every backchase candidate of
+#: the C&B universal plan, with the candidate count.  They guard that the
+#: per-step shortcuts (one index grown across a run, the one-atom match loop,
+#: Definition 4.3 gates decided once per run) change what a step costs,
+#: never what the chase searches.
+BACKCHASE_COUNTERS = {
+    "star6": (127, {
+        "kernel_searches": 2484, "index_lookups": 3636, "index_hits": 0,
+        "extension_probes": 576, "dicts_avoided": 384, "triggers_examined": 192,
+        "rounds": 319, "assignment_fixing_static": 192,
+    }),
+    "chain6": (32, {
+        "kernel_searches": 1090, "index_lookups": 1722, "index_hits": 378,
+        "extension_probes": 418, "dicts_avoided": 258, "triggers_examined": 160,
+        "rounds": 192, "assignment_fixing_static": 160,
+    }),
+}
+
+
+class TestBackchaseCandidateCounters:
+    """The bag / bag-set C&B candidate chases do exactly the pinned work."""
+
+    @pytest.mark.parametrize("label", sorted(BACKCHASE_COUNTERS))
+    @pytest.mark.parametrize("semantics", (Semantics.BAG, Semantics.BAG_SET))
+    def test_candidate_chase_counters_are_pinned(self, label, semantics):
+        from repro.paperlib import chain_workload, star_workload
+        from repro.reformulation.candidates import iter_indexed_subqueries
+
+        workload = star_workload(6) if label == "star6" else chain_workload(6)
+        expected_count, expected = BACKCHASE_COUNTERS[label]
+        universal = sound_chase(workload.query, workload.dependencies, semantics).query
+        totals = dict.fromkeys(expected, 0)
+        count = 0
+        for _, candidate in iter_indexed_subqueries(universal):
+            profile = sound_chase(candidate, workload.dependencies, semantics).profile
+            assert profile is not None
+            count += 1
+            for name in totals:
+                totals[name] += getattr(profile, name)
+        assert (count, totals) == (expected_count, expected)

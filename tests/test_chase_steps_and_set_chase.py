@@ -56,6 +56,32 @@ class TestTgdSteps:
         assert all(v.name not in {"X", "Y", "Z", "Z_1"} or v.name in used for v in fresh.values())
         assert fresh[Variable("Z")].name in used  # recorded back into the used set
 
+    @pytest.mark.parametrize(
+        "used",
+        [{"X", "Y", "W"}, {"X", "Y", "W", "Z_1", "V_1", "V_3"}, {"X", "Y", "W", "Z_2"}],
+    )
+    def test_compiled_step_equals_the_plain_step(self, used):
+        """With a plan, fresh names are checked against the used set and the
+        tgd's names only; given a used set covering the query, the step adds
+        the same atoms, records the same step, and grows the set alike."""
+        from repro.chase.plans import TGDPlan
+
+        tgd = parse_tgd("p(X,Y) -> s(X,Z,V) & u(V,Y,Z)")
+        query = parse_query("Q(X) :- p(X,Y), w(Y,W)")
+        hom = next(iter_applicable_tgd_homomorphisms(query, tgd))
+        plain_used, compiled_used = set(used), set(used)
+        plain, plain_record = apply_tgd_step(query, tgd, hom, plain_used)
+        compiled, compiled_record = apply_tgd_step(
+            query, tgd, hom, compiled_used, plan=TGDPlan(tgd)
+        )
+        assert compiled == plain
+        assert str(compiled_record) == str(plain_record)
+        assert compiled_record.homomorphism == plain_record.homomorphism
+        assert compiled_used == plain_used
+        # Without a used set the plan falls back to the query's own names.
+        alone, _ = apply_tgd_step(query, tgd, hom, plan=TGDPlan(tgd))
+        assert alone == apply_tgd_step(query, tgd, hom)[0]
+
     def test_full_tgd_application(self):
         tgd = parse_tgd("p(X,Y) -> r(X)")
         query = parse_query("Q(X) :- p(X,Y)")

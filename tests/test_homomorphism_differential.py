@@ -15,6 +15,11 @@ Since the uid-kernel refactor the campaign runs 500 cases and each case is
 additionally replayed through an explicitly precompiled
 :class:`~repro.core.plan.MatchPlan`, pinning both entry points of the int
 kernel against the frozen reference backtracker.
+
+Two campaigns pin the chase's per-step shortcuts: an index grown in place by
+:meth:`~repro.core.homomorphism.TargetIndex.extend` must equal a fresh index
+over the same body, and the kernel's flat one-atom loop must give the
+backtracking search's matches, order, trails and counters.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ import pytest
 from repro.core.atoms import Atom
 from repro.core.homomorphism import (
     TargetIndex,
+    _backtracking_search,
+    _one_atom_search,
     find_homomorphism,
+    has_match_from_binding,
     iter_homomorphisms,
     iter_matches,
 )
@@ -121,3 +129,122 @@ def test_index_counters_track_narrowing():
     assert len(index.candidate_ids(Atom("p", [Variable("A"), Variable("B")]), {})) == 10
     assert index.lookups == 2
     assert index.narrowed == 1
+
+
+# --------------------------------------------------------------------------- #
+# An index grown in place equals a fresh build
+# --------------------------------------------------------------------------- #
+def _random_binding(rng: random.Random, plan: MatchPlan, uids: list[int]) -> list[int]:
+    """Each slot unbound, bound to a target uid, or bound to an absent uid."""
+    binding = []
+    for _ in plan.slot_vars:
+        roll = rng.random()
+        if roll < 0.4 or not uids:
+            binding.append(-1)
+        elif roll < 0.9:
+            binding.append(rng.choice(uids))
+        else:
+            binding.append(Variable("Absent").uid)
+    return binding
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_extended_index_equals_fresh_index(seed):
+    """Random chunks fed to ``extend`` leave the index a fresh build would give."""
+    rng = random.Random(0xE7E4D + seed)
+    constant_bias = rng.choice((0.0, 0.2, 0.4))
+    target = _random_atoms(rng, rng.randint(1, 12), constant_bias)
+    uids = [uid for atom in target for uid in atom.term_ids]
+    end = rng.randint(0, len(target) - 1)
+    grown = TargetIndex(target[:end])
+    while end < len(target):
+        step = rng.randint(1, len(target) - end)
+        grown.extend(target[end:end + step])
+        end += step
+        fresh = TargetIndex(target[:end])
+        assert grown.atoms == fresh.atoms
+        assert grown._groups == fresh._groups
+        assert grown._postings == fresh._postings
+        before = (grown.lookups, grown.narrowed)
+        for _ in range(8):
+            (atom,) = _random_atoms(rng, 1, constant_bias)
+            plan = MatchPlan([atom])
+            binding = _random_binding(rng, plan, uids)
+            args = (plan.sig_ids[0], plan.codes[0], binding)
+            assert list(grown.candidate_ids_coded(*args)) == list(
+                fresh.candidate_ids_coded(*args)
+            )
+        after = (grown.lookups - before[0], grown.narrowed - before[1])
+        assert after == (fresh.lookups, fresh.narrowed)
+
+
+# --------------------------------------------------------------------------- #
+# One-atom plans: the flat loop vs the backtracking search and the reference
+# --------------------------------------------------------------------------- #
+def _one_atom_case(rng: random.Random):
+    """A one-atom source (sometimes ``r(X,X)``-shaped) and a target."""
+    constant_bias = rng.choice((0.0, 0.2, 0.4))
+    (source,) = _random_atoms(rng, 1, constant_bias)
+    if rng.random() < 0.3:
+        variable = rng.choice(VARIABLES)
+        tail = [_random_term(rng, constant_bias) for _ in range(rng.randint(0, 1))]
+        source = Atom(source.predicate, [variable, variable, *tail])
+    target = _random_atoms(rng, rng.randint(1, 8), constant_bias)
+    for _ in range(rng.randint(0, 2)):
+        # Targets with repeated terms, so repeated source variables can match.
+        term = _random_term(rng, constant_bias)
+        target.append(Atom(source.predicate, [term] * source.arity))
+    rng.shuffle(target)
+    return source, target
+
+
+def _run_search(search, plan, index, prebound):
+    """Every match as ``[(slot, term), ...]`` in trail order, plus the final binding."""
+    binding = [-1] * plan.n_slots
+    bound_terms = [None] * plan.n_slots
+    for slot, term in prebound.items():
+        binding[slot] = term.uid
+        bound_terms[slot] = term
+    matches = [
+        [(slot, bound_terms[slot]) for slot in trail]
+        for trail in search(plan, index, binding, bound_terms)
+    ]
+    return matches, binding
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_one_atom_loop_matches_backtracking_and_reference(seed):
+    rng = random.Random(0x1A70 + seed)
+    source, target = _one_atom_case(rng)
+    plan = MatchPlan([source])
+    target_terms = [term for atom in target for term in atom.terms]
+    # Pre-bind some slots, as has_match_from_binding does through its links.
+    prebound = {
+        slot: rng.choice(target_terms)
+        for slot in range(plan.n_slots)
+        if rng.random() < 0.4
+    }
+
+    flat_index, backtracking_index = TargetIndex(target), TargetIndex(target)
+    flat, flat_binding = _run_search(_one_atom_search, plan, flat_index, prebound)
+    backtracking, backtracking_binding = _run_search(
+        _backtracking_search, plan, backtracking_index, prebound
+    )
+    assert flat == backtracking  # same matches, order and trails
+    assert flat_binding == backtracking_binding  # every trail slot unbound again
+    assert (flat_index.lookups, flat_index.narrowed) == (
+        backtracking_index.lookups,
+        backtracking_index.narrowed,
+    )
+
+    fixed = {plan.slot_vars[slot]: term for slot, term in prebound.items()}
+    expected = list(iter_homomorphisms_reference([source], target, fixed))
+    assert list(iter_matches(plan, TargetIndex(target), fixed)) == expected
+
+    links = tuple((slot, position) for position, slot in enumerate(prebound))
+    source_binding = [term.uid for term in prebound.values()]
+    probe_index = TargetIndex(target)
+    assert has_match_from_binding(plan, probe_index, links, source_binding) == bool(
+        expected
+    )
+    assert (probe_index.searches, probe_index.lookups) == (1, 1)

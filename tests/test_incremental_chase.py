@@ -263,6 +263,23 @@ class TestFallbacks:
         assert not outcome.resumed
         assert outcome.fallback_reason == "name-collision"
 
+    def test_replay_sees_atoms_of_earlier_replayed_steps(self):
+        """The bag replay grows one body index across its tgd records.  Here
+        the delta atom s(Y) together with q(X,Y), which the first replayed
+        record adds, satisfies the second record's conclusion, so that
+        record is no longer a chase step and the resume must go cold."""
+        sigma = parse_dependencies(
+            "p(X,Y) -> q(X,Y)\n"
+            "t(X) -> q(X,Z) & s(Z)\n"
+            "q(X,Y) & q(X,W) -> Y = W\n"
+        )
+        query = parse_query("Q(X) :- p(X,Y), t(X)")
+        result, checkpoint = chase_with_checkpoint(query, sigma, Semantics.BAG_SET)
+        assert [step.kind for step in result.steps] == ["tgd", "tgd", "egd"]
+        outcome = resume_chase(checkpoint, _delta_atoms("s(Y)"))
+        assert not outcome.resumed
+        assert outcome.fallback_reason == "replay-trigger-invalid"
+
     def test_sigma_removal_falls_back_cold(self, ex41):
         _, checkpoint = chase_with_checkpoint(
             ex41.q1, ex41.dependencies, Semantics.SET
@@ -290,6 +307,50 @@ class TestSeededCampaign:
             _check_incremental_resume(case, report)
             mismatches.extend(str(m) for m in report.mismatches)
         assert not mismatches, mismatches[:5]
+
+    def test_used_names_cover_the_query_at_every_driver_entry(self, monkeypatch):
+        """The drivers apply tgd steps through compiled plans, which check
+        fresh names against the run's used-name set alone; that is exact only
+        while the set holds every variable of the current query.  Spy on
+        every entry — the cold chases and both resumes — over the campaign."""
+        from importlib import import_module
+
+        from repro.fuzz.generator import generate_case
+        from repro.fuzz.oracle import CaseReport, _check_incremental_resume
+
+        entries: dict[tuple[str, str], int] = {}
+
+        def spy(module, name, used_names_at):
+            original = getattr(module, name)
+
+            def checked(current, *args, **kwargs):
+                used_names = args[used_names_at]
+                missing = current.variable_names() - used_names
+                assert not missing, f"{module.__name__}.{name}: {sorted(missing)}"
+                key = (module.__name__, name)
+                entries[key] = entries.get(key, 0) + 1
+                return original(current, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, checked)
+
+        # The package re-exports functions named like these modules.
+        set_chase = import_module("repro.chase.set_chase")
+        sound_chase = import_module("repro.chase.sound_chase")
+        incremental = import_module("repro.chase.incremental")
+        # Positional index of used_names after `current` in each driver.
+        spy(set_chase, "_drive_set_chase", 3)
+        spy(incremental, "_drive_set_chase", 3)
+        spy(sound_chase, "_drive_sound_chase", 7)
+        spy(incremental, "_drive_sound_chase", 7)
+        for index in range(120):
+            case = generate_case(7, index)
+            _check_incremental_resume(case, CaseReport(case=case))
+        assert set(entries) == {
+            ("repro.chase.set_chase", "_drive_set_chase"),
+            ("repro.chase.incremental", "_drive_set_chase"),
+            ("repro.chase.sound_chase", "_drive_sound_chase"),
+            ("repro.chase.incremental", "_drive_sound_chase"),
+        }
 
 
 # --------------------------------------------------------------------------- #

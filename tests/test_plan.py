@@ -180,6 +180,24 @@ class TestSigmaPlans:
         assert len(second.tgds) == len(first.tgds) + 1
         assert cache.misses == 2
 
+    def test_plan_key_is_memoized_under_the_fingerprint_guard(self):
+        """Warm lookups reuse one key object; any mutation of the public
+        attributes, through add() or directly, yields a new key."""
+        import pickle
+
+        sigma = self._sigma()
+        key = sigma.plan_key
+        assert sigma.plan_key is key
+        copy = DependencySet(list(sigma.dependencies), sigma.set_valued_predicates)
+        assert copy.plan_key == key and hash(copy.plan_key) == hash(key)
+        sigma.dependencies.append(TGD([Atom("p", [X, Y])], [Atom("r", [X])], name="t2"))
+        grown = sigma.plan_key
+        assert grown != key
+        sigma.set_valued_predicates = frozenset()
+        assert sigma.plan_key != grown
+        # A pickled key rehashes in the receiving process.
+        assert pickle.loads(pickle.dumps(key)) == key
+
     def test_cache_distinguishes_dependency_names(self):
         """Step records print dependency names, so names must split entries."""
         cache = PlanCache()
