@@ -90,8 +90,8 @@ def bench_decide_many_batch_throughput(benchmark, ex41):
     """All-pairs workload: one session + decide_many vs per-call sessions.
 
     The batch path chases each of the four distinct queries once; the
-    per-call path (the old ``equivalent_under_dependencies_bag`` shape)
-    chases two queries for every one of the six pairs.
+    per-call path (a fresh Session per pair) chases two queries for every
+    one of the six pairs.
     """
     pairs = list(
         itertools.combinations((ex41.q1, ex41.q2, ex41.q3, ex41.q4), 2)

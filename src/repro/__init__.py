@@ -87,9 +87,6 @@ from .equivalence import (
     equivalent_aggregate_queries,
     equivalent_aggregate_queries_under_dependencies,
     equivalent_under_dependencies,
-    equivalent_under_dependencies_bag,
-    equivalent_under_dependencies_bag_set,
-    equivalent_under_dependencies_set,
 )
 from .evaluation import Bag, evaluate, evaluate_aggregate
 from .analysis import AnalysisReport, Diagnostic, TerminationCertificate, analyze
@@ -118,9 +115,6 @@ from .fuzz import (
 )
 from .reformulation import (
     ReformulationResult,
-    bag_c_and_b,
-    bag_set_c_and_b,
-    c_and_b,
     chase_and_backchase,
     max_min_c_and_b,
     reformulate_aggregate_query,
@@ -196,11 +190,8 @@ __all__ = [
     "ViewSet",
     "analyze",
     "are_isomorphic",
-    "bag_c_and_b",
     "bag_chase",
-    "bag_set_c_and_b",
     "bag_set_chase",
-    "c_and_b",
     "canonical_database",
     "chase",
     "chase_and_backchase",
@@ -211,9 +202,6 @@ __all__ = [
     "equivalent_aggregate_queries",
     "equivalent_aggregate_queries_under_dependencies",
     "equivalent_under_dependencies",
-    "equivalent_under_dependencies_bag",
-    "equivalent_under_dependencies_bag_set",
-    "equivalent_under_dependencies_set",
     "evaluate",
     "evaluate_aggregate",
     "find_counterexample",

@@ -1,6 +1,6 @@
 """Delta trigger tracking: which dependencies can still fire after a step.
 
-The chase drivers are deterministic first-trigger loops: every round scans
+The chase loop is a deterministic first-trigger loop: every round scans
 the dependencies in order and applies the first applicable (sound) step.
 Rescanning every dependency against the whole current query each round is
 what made the cold chase quadratic-and-worse; this module supplies the
@@ -23,8 +23,8 @@ adding atoms*:
   assignment-fixing test is *not* marked clean: Definition 4.3's verdict is
   computed against the whole current query, and growing the query can flip
   it from unsound to sound, so such dependencies are re-examined every
-  round (their test chases are what the per-run memo in
-  :mod:`repro.chase.sound_chase` exists for).
+  round (their test chases are what the per-run memo of the sound
+  tgd-step policy in :mod:`repro.chase.sound_chase` exists for).
 
 After a tgd step, exactly the clean dependencies whose premise mentions a
 predicate of the added atoms are dirtied (:meth:`TriggerIndex.note_added`);
@@ -42,7 +42,7 @@ from ..dependencies.base import Dependency
 class TriggerIndex:
     """Clean/dirty state for one ordered dependency list within a chase run.
 
-    The predicate → dependency-positions map is per-Σ, not per-run: drivers
+    The predicate → dependency-positions map is per-Σ, not per-run: runs
     holding a compiled :class:`~repro.chase.plans.SigmaPlans` construct the
     index through :meth:`from_trigger_map`, sharing the plans' precomputed
     map read-only across runs; only the clean/dirty bit vector is allocated
@@ -131,17 +131,19 @@ class TriggerIndex:
 
 
 class ChaseCapture:
-    """Terminal-state capture slot passed into a chase driver.
+    """Terminal-state capture slot passed into a chase run.
 
-    The drivers in :mod:`repro.chase.set_chase` / :mod:`repro.chase.sound_chase`
-    fill this in exactly once, at the moment they prove the fixpoint: the
-    trigger frontier (clean bits of both :class:`TriggerIndex` instances) and
-    the full set of variable names the run ever produced (the labeled-null
+    A cold run (:func:`~repro.chase.set_chase.set_chase` /
+    :func:`~repro.chase.sound_chase.sound_chase`) or a resume fills this in
+    exactly once, when the chase loop has proved the fixpoint: the trigger
+    frontier (clean bits of both :class:`TriggerIndex` instances) and the
+    full set of variable names the run ever produced (the labeled-null
     counter state — fresh-variable generation forbids every name in it).
-    :mod:`repro.chase.incremental` turns a filled capture plus the driver's
-    :class:`~repro.chase.set_chase.ChaseResult` into a ``ChaseCheckpoint``.
+    :meth:`repro.chase.incremental.ChaseCheckpoint.of` turns a filled
+    capture plus the run's :class:`~repro.chase.set_chase.ChaseResult` into
+    a checkpoint.
 
-    A capture belongs to one run: drivers overwrite, never merge.  ``filled``
+    A capture belongs to one run: runs overwrite, never merge.  ``filled``
     distinguishes "run never terminated" from "terminated with empty state".
     """
 

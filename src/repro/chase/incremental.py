@@ -37,6 +37,11 @@ accordingly:
   uniqueness theorems (5.1 / G.1) the continuation's terminal result is
   bag-equivalent to the cold one.
 
+Both strategies build only a start state — the seeded query, the carried
+records and the trigger frontier — and then run the one chase loop of
+:mod:`repro.chase.set_chase` with the semantics' tgd-step policy, exactly
+as a cold run does.
+
 Non-monotone edits — removing an atom or a dependency — always fall back to
 a cold run, as does a delta whose atoms reuse a variable name the
 checkpointed run generated (the name would silently alias a labeled null).
@@ -64,8 +69,13 @@ from .assignment_fixing import is_assignment_fixing_for
 from .delta import ChaseCapture, TriggerIndex
 from .plans import PlanCache, SigmaPlans, default_plan_cache
 from .profile import ChaseProfile, snapshot_core_stats
-from .set_chase import DEFAULT_MAX_STEPS, ChaseResult, _drive_set_chase
-from .sound_chase import _drive_sound_chase, _first_sound_tgd_step, sound_chase
+from .set_chase import (
+    DEFAULT_MAX_STEPS,
+    ChaseResult,
+    _drive_chase,
+    _first_applicable_egd_step,
+)
+from .sound_chase import dedup_predicates, sound_chase, tgd_step_policy
 from .steps import (
     ChaseStepRecord,
     deduplicate_body,
@@ -303,6 +313,31 @@ class ChaseCheckpoint:
     egd_clean: tuple[bool, ...]
     tgd_clean: tuple[bool, ...]
 
+    @classmethod
+    def of(
+        cls,
+        base: ConjunctiveQuery,
+        result: ChaseResult,
+        sigma: DependencySet,
+        max_steps: int,
+        capture: ChaseCapture,
+    ) -> "ChaseCheckpoint":
+        """The checkpoint of *result*, the terminated run of *base* under *sigma*.
+
+        *capture* is the run's filled capture slot: its used-name set and
+        terminal trigger frontier.
+        """
+        return cls(
+            base_query=base,
+            result=result,
+            sigma=sigma,
+            semantics=result.semantics,
+            max_steps=max_steps,
+            used_names=capture.used_names,
+            egd_clean=capture.egd_clean,
+            tgd_clean=capture.tgd_clean,
+        )
+
     def composed_substitution(self) -> dict[Term, Term]:
         """The run's egd substitutions, composed into one mapping.
 
@@ -530,17 +565,7 @@ def chase_with_checkpoint(
     result = sound_chase(
         query, frozen, semantics, max_steps, plan_cache=plan_cache, capture=capture
     )
-    checkpoint = ChaseCheckpoint(
-        base_query=query,
-        result=result,
-        sigma=frozen,
-        semantics=semantics,
-        max_steps=max_steps,
-        used_names=capture.used_names,
-        egd_clean=capture.egd_clean,
-        tgd_clean=capture.tgd_clean,
-    )
-    return result, checkpoint
+    return result, ChaseCheckpoint.of(query, result, frozen, max_steps, capture)
 
 
 def has_applicable_step(
@@ -554,44 +579,25 @@ def has_applicable_step(
     """Does *query* admit any (sound) chase step under *semantics*?
 
     A direct, trust-nothing fixpoint probe: one full scan with an all-dirty
-    trigger index.  The fuzz oracle and the tests use it to assert that a
+    trigger index, through the chase loop's own egd scan and the semantics'
+    tgd-step policy.  The fuzz oracle and the tests use it to assert that a
     resumed run's terminal state is a genuine fixpoint rather than an
     artifact of wrongly-seeded clean bits.
     """
-    from .set_chase import _first_applicable_egd_step, _first_applicable_tgd_step
-
     semantics = Semantics.from_name(semantics)
     sigma = DependencySet.coerce(dependencies)
     cache = plan_cache if plan_cache is not None else default_plan_cache()
-    plans = cache.plans_for(sigma, regularize=True)
+    plans = cache.plans_for(sigma)
     profile = ChaseProfile(semantics=str(semantics))
     index = TargetIndex(query.body)
     egd_state = TriggerIndex.from_trigger_map(len(plans.egds), plans.egd_trigger_map)
     if _first_applicable_egd_step(query, plans.egd_plans, index, egd_state, profile) is not None:
         return True
     tgd_state = TriggerIndex.from_trigger_map(len(plans.tgds), plans.tgd_trigger_map)
-    if semantics is Semantics.SET:
-        return (
-            _first_applicable_tgd_step(query, plans.tgd_plans, index, tgd_state, profile)
-            is not None
-        )
-    return (
-        _first_sound_tgd_step(
-            query,
-            plans,
-            plans.dependency_set(),
-            semantics,
-            sigma.set_valued_predicates,
-            max_steps,
-            index,
-            tgd_state,
-            profile,
-            {},
-            cache,
-            plans.assignment_fixing_rule().holds_for(query),
-        )
-        is not None
+    tgd_step = tgd_step_policy(
+        query, plans, semantics, sigma.set_valued_predicates, max_steps, cache
     )
+    return tgd_step(query, index, tgd_state, profile) is not None
 
 
 # ---------------------------------------------------------------------- #
@@ -616,111 +622,35 @@ def _check_sigma_extends(old_plans: SigmaPlans, new_plans: SigmaPlans) -> None:
                 raise _ResumeAbandoned(f"sigma-reordered-{kind}")
 
 
-def _resume_set(
+def _replay(
     checkpoint: ChaseCheckpoint,
-    delta: ChaseDelta,
     new_base: ConjunctiveQuery,
-    new_sigma: DependencySet,
+    plans: SigmaPlans,
+    set_valued: frozenset[str],
     max_steps: int,
     cache: PlanCache,
-) -> ResumeOutcome:
-    plan_stats = cache.snapshot()
-    old_plans = cache.plans_for(checkpoint.sigma, regularize=True)
-    plans = cache.plans_for(new_sigma, regularize=True)
-    _check_sigma_extends(old_plans, plans)
+    memo: dict[Hashable, bool],
+    profile: ChaseProfile,
+) -> tuple[ConjunctiveQuery, list[ChaseStepRecord]]:
+    """The start state of a bag or bag-set resume: the records, replayed on *new_base*.
 
-    substitution = checkpoint.composed_substitution()
-    seeded = tuple(atom.substitute(substitution) for atom in delta.added_atoms)
-    fixpoint = checkpoint.result.query
-    body = set(fixpoint.body)
-    # Under set semantics an exact duplicate adds nothing; skipping it keeps
-    # the resumed body close to what a cold run would build.
-    fresh_atoms = [atom for atom in seeded if atom not in body]
-    current = fixpoint.add_atoms(fresh_atoms)
-
-    profile = ChaseProfile(semantics=str(Semantics.SET))
-    started = time.perf_counter()
-    core_stats = snapshot_core_stats()
-    records = list(checkpoint.result.steps)
-    replayed = len(records)
-    used_names = set(checkpoint.used_names)
-    used_names.update(v.name for atom in seeded for v in atom.variables())
-    egd_state = TriggerIndex.from_snapshot(
-        len(plans.egds), plans.egd_trigger_map, checkpoint.egd_clean
-    )
-    tgd_state = TriggerIndex.from_snapshot(
-        len(plans.tgds), plans.tgd_trigger_map, checkpoint.tgd_clean
-    )
-    added_predicates = {atom.predicate for atom in fresh_atoms}
-    egd_state.note_added(added_predicates)
-    tgd_state.note_added(added_predicates)
-
-    capture = ChaseCapture()
-    terminal = _drive_set_chase(
-        current, plans, egd_state, tgd_state, used_names, records, profile,
-        max_steps, deduplicate=True,
-    )
-    profile.record_core_stats(core_stats)
-    profile.record_plan_stats(plan_stats, cache)
-    profile.wall_time = time.perf_counter() - started
-    capture.record(egd_state, tgd_state, used_names)
-    result = ChaseResult(terminal, records, Semantics.SET, terminated=True, profile=profile)
-    new_checkpoint = ChaseCheckpoint(
-        base_query=new_base,
-        result=result,
-        sigma=new_sigma,
-        semantics=Semantics.SET,
-        max_steps=max_steps,
-        used_names=capture.used_names,
-        egd_clean=capture.egd_clean,
-        tgd_clean=capture.tgd_clean,
-    )
-    return ResumeOutcome(
-        result=result,
-        checkpoint=new_checkpoint,
-        resumed=True,
-        fallback_reason=None,
-        replayed_steps=replayed,
-        new_steps=len(records) - replayed,
-    )
-
-
-def _resume_bag(
-    checkpoint: ChaseCheckpoint,
-    delta: ChaseDelta,
-    new_base: ConjunctiveQuery,
-    new_sigma: DependencySet,
-    semantics: Semantics,
-    max_steps: int,
-    cache: PlanCache,
-) -> ResumeOutcome:
-    plan_stats = cache.snapshot()
-    old_plans = cache.plans_for(checkpoint.sigma, regularize=True)
-    plans = cache.plans_for(new_sigma, regularize=True)
-    _check_sigma_extends(old_plans, plans)
+    Replay-validates the checkpointed provenance in order against states
+    that include the delta.  Theorems 4.1/4.3: egd steps are always sound;
+    tgd steps must still be applicable (non-satisfied) triggers and still
+    assignment-fixing against the grown state and Σ, or the resume is
+    abandoned.  The Definition 4.3 re-checks share the run's *memo* and
+    count on its *profile*.  One body index serves the replay: tgd records
+    grow it, egd records (which rewrite terms) drop it, and the next tgd
+    record rebuilds it.
+    """
+    semantics = checkpoint.semantics
     items_sigma = plans.dependency_set()
-    set_valued = new_sigma.set_valued_predicates
-    dedup_predicates: set[str] | None
-    dedup_predicates = set(set_valued) if semantics is Semantics.BAG else None
+    dedup = dedup_predicates(semantics, set_valued)
     tgd_positions = {
         _dependency_key(tgd): position for position, tgd in enumerate(plans.tgds)
     }
-
-    profile = ChaseProfile(semantics=str(semantics))
-    started = time.perf_counter()
-    core_stats = snapshot_core_stats()
-    af_memo: dict[Hashable, bool] = {}
-    used_names = set(checkpoint.used_names)
-    used_names.update(new_base.variable_names())
     current = new_base
     records: list[ChaseStepRecord] = []
-
-    # Replay-validate the checkpointed provenance in order against states
-    # that include the delta.  Theorems 4.1/4.3: egd steps are always sound;
-    # tgd steps must still be applicable (non-satisfied) triggers and still
-    # assignment-fixing against the grown state and Σ.  One body index
-    # serves the replay: tgd records grow it, egd records (which rewrite
-    # terms) drop it, and the next tgd record rebuilds it.
     index: TargetIndex | None = None
     for record in checkpoint.result.steps:
         if record.kind == "egd":
@@ -731,7 +661,7 @@ def _resume_bag(
             ):
                 raise _ResumeAbandoned("replay-premise-lost")
             current = current.substitute(record.substitution)
-            current = deduplicate_body(current, dedup_predicates)
+            current = deduplicate_body(current, dedup)
             records.append(record)
             index = None
             continue
@@ -753,48 +683,87 @@ def _resume_bag(
             raise _ResumeAbandoned("replay-trigger-invalid")
         if not is_assignment_fixing_for(
             current, tgd, record.homomorphism, items_sigma, max_steps,
-            memo=af_memo, plan_cache=cache,
+            memo=memo, profile=profile, plan_cache=cache,
         ):
             raise _ResumeAbandoned("replay-not-assignment-fixing")
         current = current.add_atoms(record.added_atoms)
         index.extend(record.added_atoms)
         records.append(record)
+    return current, records
 
+
+def _resume(
+    checkpoint: ChaseCheckpoint,
+    delta: ChaseDelta,
+    new_base: ConjunctiveQuery,
+    new_sigma: DependencySet,
+    max_steps: int,
+    cache: PlanCache,
+) -> ResumeOutcome:
+    """Run the chase loop on from *checkpoint* with *delta* applied.
+
+    Only the start state depends on the semantics.  A set run starts from
+    ``fixpoint ∪ σ(Δ)`` and keeps every checkpointed record; a bag or
+    bag-set run replay-validates the records on the new base
+    (:func:`_replay`).  Either way the trigger frontier is seeded from the
+    checkpoint and dirtied for the delta's predicates, and the loop runs
+    with the semantics' tgd-step policy, which shares the replay's
+    Definition 4.3 memo.
+    """
+    semantics = checkpoint.semantics
+    set_valued = new_sigma.set_valued_predicates
+    plan_stats = cache.snapshot()
+    old_plans = cache.plans_for(checkpoint.sigma)
+    plans = cache.plans_for(new_sigma)
+    _check_sigma_extends(old_plans, plans)
+
+    profile = ChaseProfile(semantics=str(semantics))
+    started = time.perf_counter()
+    core_stats = snapshot_core_stats()
+    memo: dict[Hashable, bool] = {}
+    added: Sequence[Atom] = delta.added_atoms
+    if semantics is Semantics.SET:
+        # The delta atoms, rewritten by the run's composed egd substitution.
+        # An exact duplicate adds nothing under set semantics; skipping it
+        # keeps the resumed body close to what a cold run would build.
+        substitution = checkpoint.composed_substitution()
+        fixpoint = checkpoint.result.query
+        body = set(fixpoint.body)
+        seeded = (atom.substitute(substitution) for atom in delta.added_atoms)
+        added = [atom for atom in seeded if atom not in body]
+        current = fixpoint.add_atoms(added)
+        records = list(checkpoint.result.steps)
+    else:
+        current, records = _replay(
+            checkpoint, new_base, plans, set_valued, max_steps, cache, memo, profile
+        )
     replayed = len(records)
+    used_names = set(checkpoint.used_names)
+    used_names.update(current.variable_names())
     egd_state = TriggerIndex.from_snapshot(
         len(plans.egds), plans.egd_trigger_map, checkpoint.egd_clean
     )
     tgd_state = TriggerIndex.from_snapshot(
         len(plans.tgds), plans.tgd_trigger_map, checkpoint.tgd_clean
     )
-    added_predicates = {atom.predicate for atom in delta.added_atoms}
+    added_predicates = {atom.predicate for atom in added}
     egd_state.note_added(added_predicates)
     tgd_state.note_added(added_predicates)
 
-    capture = ChaseCapture()
-    terminal = _drive_sound_chase(
-        current, plans, items_sigma, semantics, set_valued, dedup_predicates,
-        egd_state, tgd_state, used_names, records, profile, af_memo,
-        max_steps, cache,
+    tgd_step = tgd_step_policy(current, plans, semantics, set_valued, max_steps, cache, memo)
+    terminal = _drive_chase(
+        current, plans, tgd_step, dedup_predicates(semantics, set_valued),
+        egd_state, tgd_state, used_names, records, profile, max_steps,
     )
     profile.record_core_stats(core_stats)
     profile.record_plan_stats(plan_stats, cache)
     profile.wall_time = time.perf_counter() - started
+    capture = ChaseCapture()
     capture.record(egd_state, tgd_state, used_names)
     result = ChaseResult(terminal, records, semantics, terminated=True, profile=profile)
-    new_checkpoint = ChaseCheckpoint(
-        base_query=new_base,
-        result=result,
-        sigma=new_sigma,
-        semantics=semantics,
-        max_steps=max_steps,
-        used_names=capture.used_names,
-        egd_clean=capture.egd_clean,
-        tgd_clean=capture.tgd_clean,
-    )
     return ResumeOutcome(
         result=result,
-        checkpoint=new_checkpoint,
+        checkpoint=ChaseCheckpoint.of(new_base, result, new_sigma, max_steps, capture),
         resumed=True,
         fallback_reason=None,
         replayed_steps=replayed,
@@ -856,11 +825,7 @@ def resume_chase(
         return cold("name-collision")
 
     try:
-        if checkpoint.semantics is Semantics.SET:
-            return _resume_set(checkpoint, delta, new_base, new_sigma, budget, cache)
-        return _resume_bag(
-            checkpoint, delta, new_base, new_sigma, checkpoint.semantics, budget, cache
-        )
+        return _resume(checkpoint, delta, new_base, new_sigma, budget, cache)
     except _ResumeAbandoned as abandoned:
         return cold(abandoned.reason)
 

@@ -12,15 +12,14 @@ each dependency's atoms into :class:`~repro.core.plan.MatchPlan` int plans
   (and, for tgds, conclusion) plus its premise predicate set (consumed by
   the :class:`~repro.chase.delta.TriggerIndex`);
 * :class:`SigmaPlans` — one regularized dependency list's plans, split by
-  kind exactly the way the drivers split dependencies, plus the
+  kind exactly the way the chase loop splits dependencies, plus the
   premise-predicate trigger maps shared by every run's ``TriggerIndex``;
 * :class:`AssignmentFixingRule` — Σ's chase-free Definition 4.3 verdicts
   for key-determined tgds, built lazily once per :class:`SigmaPlans`;
 * :class:`PlanCache` — a bounded LRU keyed by the
   :attr:`~repro.dependencies.base.DependencySet.plan_key` of Σ (its
   fingerprint plus the dependency display names, which the fingerprint
-  deliberately drops but which appear verbatim in step records) and the
-  ``regularize`` flag.
+  deliberately drops but which appear verbatim in step records).
 
 The cache also amortizes regularization itself: a hit returns the already
 regularized dependency list, so the nested Definition 4.3 test chases stop
@@ -233,7 +232,7 @@ class AssignmentFixingRule:
 
 
 class SigmaPlans:
-    """Compiled plans for one (optionally regularized) dependency list."""
+    """Compiled plans for one dependency list, regularized first."""
 
     __slots__ = (
         "items",
@@ -247,10 +246,8 @@ class SigmaPlans:
         "_af_rule",
     )
 
-    def __init__(self, dependencies: Iterable[Dependency], *, regularize: bool = True):
-        items = list(dependencies)
-        if regularize:
-            items = regularize_dependencies(items)
+    def __init__(self, dependencies: Iterable[Dependency]):
+        items = regularize_dependencies(list(dependencies))
         self.items: list[Dependency] = items
         self.egds: list[EGD] = [d for d in items if isinstance(d, EGD)]
         self.tgds: list[TGD] = [d for d in items if isinstance(d, TGD)]
@@ -288,13 +285,12 @@ class SigmaPlans:
 class PlanCache:
     """A bounded LRU of :class:`SigmaPlans` per dependency set.
 
-    Keys combine Σ's memoized :attr:`~repro.dependencies.base.DependencySet.
+    Keys are Σ's memoized :attr:`~repro.dependencies.base.DependencySet.
     plan_key` — its fingerprint plus the dependency display names (two Σs
     equal up to names must not share plans — step records print the names),
-    hashed once per Σ — with the driver's ``regularize`` flag, so a warm
-    lookup hashes a pair instead of re-walking Σ's atoms.  ``hits`` /
-    ``misses`` / ``evictions`` mirror the chase cache's counters; the chase
-    drivers fold the per-run deltas into their
+    hashed once per Σ — so a warm lookup does not re-walk Σ's atoms.
+    ``hits`` / ``misses`` / ``evictions`` mirror the chase cache's counters;
+    every chase run folds its deltas into its
     :class:`~repro.chase.profile.ChaseProfile` as ``plans_reused`` /
     ``plans_compiled``.
     """
@@ -310,15 +306,10 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
 
-    def plans_for(
-        self,
-        dependencies: DependencySet | Iterable[Dependency],
-        *,
-        regularize: bool = True,
-    ) -> SigmaPlans:
-        """The compiled plans of *dependencies*, compiling on first use."""
+    def plans_for(self, dependencies: DependencySet | Iterable[Dependency]) -> SigmaPlans:
+        """The compiled plans of *dependencies*, regularized, compiling on first use."""
         sigma = DependencySet.coerce(dependencies)
-        key = (sigma.plan_key, regularize)
+        key = sigma.plan_key
         entries = self._entries
         plans = entries.get(key)
         if plans is not None:
@@ -326,7 +317,7 @@ class PlanCache:
             self.hits += 1
             return plans
         self.misses += 1
-        plans = SigmaPlans(sigma.dependencies, regularize=regularize)
+        plans = SigmaPlans(sigma.dependencies)
         entries[key] = plans
         while len(entries) > self.maxsize:
             entries.popitem(last=False)
@@ -357,5 +348,5 @@ _DEFAULT_PLAN_CACHE = PlanCache()
 
 
 def default_plan_cache() -> PlanCache:
-    """The process-wide :class:`PlanCache` shared by the chase drivers."""
+    """The process-wide :class:`PlanCache` shared by every chase run."""
     return _DEFAULT_PLAN_CACHE

@@ -1,13 +1,15 @@
 """Chase profiling: what a chase run actually did, and what it skipped.
 
 A :class:`ChaseProfile` is attached to every :class:`~repro.chase.set_chase.
-ChaseResult` produced by the drivers in this package.  It records the work
-visible at the chase level — rounds, steps by kind, candidate triggers
-examined, dependencies skipped by the delta trigger index — plus the
+ChaseResult` produced by a chase run of this package: a cold set, bag or
+bag-set chase, or a resume.  It records the work visible at the chase level
+— rounds, steps by kind, candidate triggers examined, dependencies skipped
+by the delta trigger index, Definition 4.3 verdicts — plus the
 homomorphism-index counters (lookups and posting-list narrowings) retired
 from every :class:`~repro.core.homomorphism.TargetIndex` the run built,
-including the ones built by nested assignment-fixing test chases.  Wall time
-is measured with :func:`time.perf_counter` around the whole run.
+including the ones built by nested assignment-fixing test chases.  A
+resume's profile also counts its replay of the checkpointed steps.  Wall
+time is measured with :func:`time.perf_counter` around the whole run.
 
 Profiles are plain mutable counters: the Session engine merges the profile
 of every cold chase into a per-session aggregate, and the CLI's
@@ -34,7 +36,7 @@ CoreStatsSnapshot = tuple[tuple[int, int], tuple[int, int]]
 def snapshot_core_stats() -> CoreStatsSnapshot:
     """Snapshot the process-wide interning / canonicalization counters.
 
-    Chase drivers take one at run start and fold the delta into their
+    Every chase run takes one at its start and folds the delta into its
     profile via :meth:`ChaseProfile.record_core_stats`.
     """
     return (INTERN_STATS.snapshot(), CANONICALIZATION_STATS.snapshot())
@@ -53,7 +55,7 @@ class ChaseProfile:
     rounds: int = 0
     egd_steps: int = 0
     tgd_steps: int = 0
-    #: Candidate triggers the driver inspected: applicable egd (hom,
+    #: Candidate triggers the run inspected: applicable egd (hom,
     #: equality) pairs plus tgd premise homomorphisms tested for soundness.
     triggers_examined: int = 0
     #: Dependency scans skipped because the delta trigger index proved no

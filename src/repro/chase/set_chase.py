@@ -1,4 +1,4 @@
-"""Set-semantics chase of conjunctive queries (Section 2.4).
+"""Set-semantics chase of conjunctive queries (Section 2.4), and the chase loop.
 
 ``set_chase(Q, Σ)`` repeatedly applies tgd and egd chase steps until the
 canonical database of the current query satisfies every dependency (i.e. no
@@ -8,12 +8,23 @@ their given order, and the first applicable homomorphism (in the
 deterministic order produced by the homomorphism search) is applied — so
 repeated runs produce the same result.  All terminal chase results of a
 query are set-equivalent in the absence of dependencies, so determinism is a
-convenience, not a correctness requirement.
+convenience, not a correctness requirement.  Every tgd is regularized first;
+Proposition 4.1 guarantees this does not change the result up to
+equivalence.
 
 Chase termination is undecidable in general; weakly acyclic dependency sets
 (see :mod:`repro.dependencies.weak_acyclicity`) are guaranteed to terminate.
 A :class:`~repro.exceptions.ChaseNonTerminationError` is raised when the
 budget runs out.
+
+Every chase of the package runs this module's loop, :func:`_drive_chase`:
+the set chase, the sound bag and bag-set chases of
+:mod:`repro.chase.sound_chase`, and the resumes of
+:mod:`repro.chase.incremental`.  Semantics enter it in two places only
+(Theorems 4.1–4.3): a :data:`TGDStepPolicy` picks the tgd trigger that may
+fire, and the egd branch drops the duplicate subgoals the semantics allows.
+The set chase's policy, :func:`set_tgd_policy`, fires the first applicable
+trigger, and its egd steps drop every duplicate.
 
 A chase step's Python work follows what the step adds.  The run keeps one
 :class:`~repro.core.homomorphism.TargetIndex` over the body: a tgd step only
@@ -28,7 +39,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from ..core.homomorphism import Homomorphism, TargetIndex
 from ..core.query import ConjunctiveQuery
@@ -50,6 +62,14 @@ from .steps import (
 )
 
 DEFAULT_MAX_STEPS = 2000
+
+#: A tgd-step policy maps ``(query, index, tgd_state, profile)`` to the first
+#: tgd trigger the run's semantics lets fire, as the tgd's plan and the
+#: trigger, or to ``None``.  It is the only place semantics choose a tgd step.
+TGDStepPolicy = Callable[
+    [ConjunctiveQuery, TargetIndex, TriggerIndex, ChaseProfile],
+    tuple[TGDPlan, Homomorphism] | None,
+]
 
 
 @dataclass
@@ -103,8 +123,8 @@ def _first_applicable_egd_step(
 
 
 def _first_applicable_tgd_step(
-    query: ConjunctiveQuery,
     plans: Sequence[TGDPlan],
+    query: ConjunctiveQuery,
     index: TargetIndex,
     state: TriggerIndex,
     profile: ChaseProfile,
@@ -131,33 +151,43 @@ def _first_applicable_tgd_step(
     return None
 
 
-def _drive_set_chase(
+def set_tgd_policy(plans: SigmaPlans) -> TGDStepPolicy:
+    """The set chase's tgd-step policy: every applicable trigger may fire."""
+    return partial(_first_applicable_tgd_step, plans.tgd_plans)
+
+
+def _drive_chase(
     current: ConjunctiveQuery,
     plans: SigmaPlans,
+    tgd_step: TGDStepPolicy,
+    dedup_predicates: set[str] | None,
     egd_state: TriggerIndex,
     tgd_state: TriggerIndex,
     used_names: set[str],
     records: list[ChaseStepRecord],
     profile: ChaseProfile,
     max_steps: int,
-    deduplicate: bool,
 ) -> ConjunctiveQuery:
-    """The delta-driven set-chase loop, from *current* to its fixpoint.
+    """The delta-driven chase loop, from *current* to its fixpoint.
 
-    Shared by :func:`set_chase` (fresh state) and the incremental resume in
-    :mod:`repro.chase.incremental` (state seeded from a checkpoint): the
-    caller owns the trigger indexes, the used-name set, and the record list,
-    so a continuation run starts exactly where a previous fixpoint left off.
-    *used_names* must hold every variable name of *current* (tgd steps are
-    applied through their compiled plans, see
-    :func:`~repro.chase.steps.apply_tgd_step`).  Mutates *records*,
-    *used_names*, and the trigger states in place and returns the terminal
-    query; raises :class:`ChaseNonTerminationError` after *max_steps*
-    rounds.
+    Each round applies the first applicable egd step, which is always sound
+    (Theorems 4.1 and 4.3, item 2), and then drops the duplicate subgoals
+    over *dedup_predicates* (every duplicate when ``None``); or else it
+    applies the tgd step *tgd_step* picks.  Those are the only two places
+    semantics enter the loop.
 
-    One :class:`TargetIndex` serves the run: a tgd step only appends atoms,
-    so the index is extended with them; an egd step rewrites terms, so the
-    index is rebuilt.  Its counters are retired once per index.
+    Cold runs and the incremental resumes share it: the caller owns the
+    trigger states, the used-name set and the record list, so a resume
+    starts exactly where a previous fixpoint left off.  *used_names* must
+    hold every variable name of *current* (tgd steps are applied through
+    their compiled plans, see :func:`~repro.chase.steps.apply_tgd_step`).
+    Mutates *records*, *used_names* and the trigger states in place and
+    returns the terminal query; raises :class:`ChaseNonTerminationError`
+    after *max_steps* rounds.
+
+    One :class:`TargetIndex` serves the run: tgd steps extend it with the
+    atoms they add, egd steps (which rewrite terms) rebuild it.  Its
+    counters are retired once per index.
     """
     index = TargetIndex(current.body)
     for _ in range(max_steps):
@@ -168,8 +198,7 @@ def _drive_set_chase(
         if egd_step is not None:
             egd, hom, left, right = egd_step
             current, record = apply_egd_step(current, egd, hom, left, right)
-            if deduplicate:
-                current = deduplicate_body(current)
+            current = deduplicate_body(current, dedup_predicates)
             records.append(record)
             profile.egd_steps += 1
             egd_state.reset()
@@ -177,14 +206,17 @@ def _drive_set_chase(
             profile.retire_index(index)
             index = TargetIndex(current.body)
             continue
-        tgd_step = _first_applicable_tgd_step(
-            current, plans.tgd_plans, index, tgd_state, profile
-        )
-        if tgd_step is not None:
-            plan, hom = tgd_step
+        step = tgd_step(current, index, tgd_state, profile)
+        if step is not None:
+            plan, hom = step
             current, record = apply_tgd_step(
                 current, plan.tgd, hom, used_names, plan=plan
             )
+            # No deduplication after a tgd step: a regularized step never
+            # copies an existing subgoal (each non-full conclusion atom gets
+            # a fresh existential; a full tgd's one atom is absent when it
+            # applies), and duplicates among the added atoms are harmless to
+            # every equivalence test.  tests/test_sound_chase.py pins this.
             records.append(record)
             profile.tgd_steps += 1
             added = {atom.predicate for atom in record.added_atoms}
@@ -195,29 +227,69 @@ def _drive_set_chase(
         profile.retire_index(index)
         return current
     raise ChaseNonTerminationError(
-        f"set chase did not terminate within {max_steps} steps "
+        f"{profile.semantics} chase did not terminate within {max_steps} steps "
         f"({len(plans.items)} dependencies); "
         "either raise max_steps or use weakly acyclic dependencies",
         steps_taken=len(records),
     )
 
 
+def _chase(
+    query: ConjunctiveQuery,
+    dependencies: DependencySet | Sequence[Dependency],
+    semantics: Semantics,
+    max_steps: int,
+    plan_cache: PlanCache | None,
+    capture: ChaseCapture | None,
+    policy_for: Callable[[ConjunctiveQuery, SigmaPlans, PlanCache], TGDStepPolicy] | None = None,
+    dedup_predicates: set[str] | None = None,
+) -> ChaseResult:
+    """A cold run of the loop from *query*, behind set_chase and sound_chase.
+
+    ``policy_for(query, plans, cache)`` builds the run's tgd-step policy
+    once, on the start state, after Σ's plans are served (default: the set
+    policy).  The wrapper owns the rest of the run: the plan-cache
+    snapshot, the profile and its clock, fresh trigger states, the
+    used-name set, the capture and the :class:`ChaseResult`.
+    """
+    cache = plan_cache if plan_cache is not None else default_plan_cache()
+    plan_stats = cache.snapshot()
+    plans = cache.plans_for(dependencies)
+    tgd_step = set_tgd_policy(plans) if policy_for is None else policy_for(query, plans, cache)
+
+    profile = ChaseProfile(semantics=str(semantics))
+    started = time.perf_counter()
+    core_stats = snapshot_core_stats()
+    records: list[ChaseStepRecord] = []
+    # Names of every variable ever used in this chase run, so fresh variables
+    # never reuse a name eliminated by an earlier egd step.
+    used_names = set(query.variable_names())
+    egd_state = TriggerIndex.from_trigger_map(len(plans.egds), plans.egd_trigger_map)
+    tgd_state = TriggerIndex.from_trigger_map(len(plans.tgds), plans.tgd_trigger_map)
+    terminal = _drive_chase(
+        query, plans, tgd_step, dedup_predicates, egd_state, tgd_state,
+        used_names, records, profile, max_steps,
+    )
+    profile.record_core_stats(core_stats)
+    profile.record_plan_stats(plan_stats, cache)
+    profile.wall_time = time.perf_counter() - started
+    if capture is not None:
+        capture.record(egd_state, tgd_state, used_names)
+    return ChaseResult(terminal, records, semantics, terminated=True, profile=profile)
+
+
 def set_chase(
     query: ConjunctiveQuery,
     dependencies: DependencySet | Sequence[Dependency],
     max_steps: int = DEFAULT_MAX_STEPS,
-    regularize: bool = True,
-    deduplicate: bool = True,
     *,
     plan_cache: PlanCache | None = None,
     capture: ChaseCapture | None = None,
 ) -> ChaseResult:
     """Chase *query* with *dependencies* under set semantics to termination.
 
-    ``regularize`` replaces every tgd by its regularized set first
-    (Proposition 4.1 guarantees this does not change the result up to
-    equivalence); ``deduplicate`` drops duplicate subgoals after egd steps,
-    which is always harmless under set semantics.
+    Every tgd is replaced by its regularized set first, and egd steps drop
+    duplicate subgoals, which is always harmless under set semantics.
 
     The loop is delta-driven: one :class:`TargetIndex` over the current body
     is shared by every dependency probe of the run (grown in place by tgd
@@ -232,30 +304,7 @@ def set_chase(
     run's used-name set — the raw material of a resumable checkpoint (see
     :mod:`repro.chase.incremental`).  Nothing is captured on non-termination.
     """
-    cache = plan_cache if plan_cache is not None else default_plan_cache()
-    plan_stats = cache.snapshot()
-    plans = cache.plans_for(dependencies, regularize=regularize)
-    egds, tgds = plans.egds, plans.tgds
-
-    profile = ChaseProfile(semantics=str(Semantics.SET))
-    started = time.perf_counter()
-    core_stats = snapshot_core_stats()
-    records: list[ChaseStepRecord] = []
-    # Names of every variable ever used in this chase run, so fresh variables
-    # never reuse a name eliminated by an earlier egd step.
-    used_names = set(query.variable_names())
-    egd_state = TriggerIndex.from_trigger_map(len(egds), plans.egd_trigger_map)
-    tgd_state = TriggerIndex.from_trigger_map(len(tgds), plans.tgd_trigger_map)
-    terminal = _drive_set_chase(
-        query, plans, egd_state, tgd_state, used_names, records, profile,
-        max_steps, deduplicate,
-    )
-    profile.record_core_stats(core_stats)
-    profile.record_plan_stats(plan_stats, cache)
-    profile.wall_time = time.perf_counter() - started
-    if capture is not None:
-        capture.record(egd_state, tgd_state, used_names)
-    return ChaseResult(terminal, records, Semantics.SET, terminated=True, profile=profile)
+    return _chase(query, dependencies, Semantics.SET, max_steps, plan_cache, capture)
 
 
 def set_chase_terminates(

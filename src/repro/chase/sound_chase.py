@@ -21,6 +21,10 @@ to bag equivalence (modulo duplicate subgoals over set-valued relations).
 Every tgd is regularized before chasing — Theorem 4.1/4.3 require it, and
 Examples 4.4–4.5 show the failure modes otherwise.
 
+The chase runs the one loop of :mod:`repro.chase.set_chase` with this
+module's tgd-step policy, :func:`tgd_step_policy`, built once per run.  The
+policy fires only sound tgd steps; egd steps are always sound, and the
+loop's egd branch drops the duplicates :func:`dedup_predicates` allows.
 The loop is delta-driven (see :mod:`repro.chase.delta`): one
 :class:`~repro.core.homomorphism.TargetIndex` over the current body serves
 every dependency probe of the run — tgd steps extend it with the atoms they
@@ -29,37 +33,42 @@ add, egd steps (which rewrite terms) rebuild it — and a
 cannot have gained a trigger.  Definition 4.3 verdicts are memoized per
 canonicalized test query within the run, or settled without a test chase:
 full tgds by Proposition 4.3, key-determined tgds by
-:class:`~repro.chase.plans.AssignmentFixingRule`, whose query gates are
-decided once per run.  Tgd steps are applied through their compiled
-:class:`~repro.chase.plans.TGDPlan`, so a step's Python work follows what
-it adds.  The applied step sequence is byte-identical to the pre-index
-implementation (frozen in :mod:`repro.chase.reference`); each result carries
-a :class:`~repro.chase.profile.ChaseProfile` of the work done and skipped.
+:class:`~repro.chase.plans.AssignmentFixingRule`, whose query gates the
+policy decides once, on the run's start state.  Tgd steps are applied
+through their compiled :class:`~repro.chase.plans.TGDPlan`, so a step's
+Python work follows what it adds.  The applied step sequence is
+byte-identical to the pre-index implementation (frozen in
+:mod:`repro.chase.reference`); each result carries a
+:class:`~repro.chase.profile.ChaseProfile` of the work done and skipped.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Hashable, Sequence
 
 from ..core.homomorphism import Homomorphism, TargetIndex
 from ..core.query import ConjunctiveQuery
 from ..dependencies.base import EGD, TGD, Dependency, DependencySet
-from ..exceptions import ChaseError, ChaseNonTerminationError
+from ..exceptions import ChaseError
 from ..semantics import Semantics
 from .assignment_fixing import is_assignment_fixing_for
 from .delta import ChaseCapture, TriggerIndex
 from .plans import PlanCache, SigmaPlans, TGDPlan, default_plan_cache
-from .profile import ChaseProfile, snapshot_core_stats
-from .set_chase import DEFAULT_MAX_STEPS, ChaseResult, _first_applicable_egd_step, set_chase
-from .steps import (
-    ChaseStepRecord,
-    apply_egd_step,
-    apply_tgd_step,
-    deduplicate_body,
-    iter_applicable_tgd_bindings,
-    trigger_homomorphism,
+from .profile import ChaseProfile
+from .set_chase import (
+    DEFAULT_MAX_STEPS,
+    ChaseResult,
+    TGDStepPolicy,
+    _chase,
+    set_chase,
+    set_tgd_policy,
 )
+from .steps import iter_applicable_tgd_bindings, trigger_homomorphism
+
+# The loop in repro.chase.set_chase applies the chase steps; the benchmark's
+# span tracer (e2ebench/tracing.py) still patches these names on this module,
+# so they stay imported.
+from .steps import apply_egd_step, apply_tgd_step, deduplicate_body  # noqa: F401
 
 
 def _split(dependencies: DependencySet | Sequence[Dependency]) -> tuple[
@@ -70,159 +79,98 @@ def _split(dependencies: DependencySet | Sequence[Dependency]) -> tuple[
     return list(dependencies), frozenset()
 
 
-def _first_sound_tgd_step(
-    query: ConjunctiveQuery,
+def dedup_predicates(semantics: Semantics, set_valued: frozenset[str]) -> set[str] | None:
+    """The duplicate subgoals an egd step may drop under *semantics*.
+
+    ``None`` means every duplicate (set and bag-set semantics); under bag
+    semantics only duplicates over set-valued relations (Theorem 4.2).
+    """
+    return set(set_valued) if semantics is Semantics.BAG else None
+
+
+def tgd_step_policy(
+    start: ConjunctiveQuery,
     plans: SigmaPlans,
-    items_sigma: DependencySet,
     semantics: Semantics,
     set_valued: frozenset[str],
     max_steps: int,
-    index: TargetIndex,
-    state: TriggerIndex,
-    profile: ChaseProfile,
-    memo: dict[Hashable, bool],
-    plan_cache: PlanCache,
-    gates_hold: bool,
-) -> tuple[TGDPlan, Homomorphism] | None:
-    """First sound tgd trigger in Σ order, delta-skipping where exact.
+    cache: PlanCache,
+    memo: dict[Hashable, bool] | None = None,
+) -> TGDStepPolicy:
+    """The tgd-step policy of one run under *semantics* from *start*.
+
+    Under set semantics every step is sound: the policy is
+    :func:`~repro.chase.set_chase.set_tgd_policy`.  Under bag and bag-set
+    semantics it is the sound policy: the first sound tgd trigger in Σ
+    order, delta-skipping where exact.
 
     A tgd is only marked clean when its scan found *no applicable
     homomorphism at all*: that verdict is stable while added atoms miss the
     premise.  A scan that found applicable-but-not-assignment-fixing
     homomorphisms is left dirty — Definition 4.3's verdict is taken against
-    the whole current query and can flip to sound as the query grows, so the
-    old full-rescan behaviour is preserved exactly for those tgds (the
-    per-run ``memo`` absorbs the repeated test chases instead).
+    the whole current query and can flip to sound as the query grows — and
+    the per-run ``memo`` absorbs its repeated test chases (a resume passes
+    the memo its replay filled).
 
-    Two kinds of tgd are assignment fixing for every trigger, so their
-    verdicts are read off without a Definition 4.3 test: full tgds
-    (Proposition 4.3) and, when *gates_hold* says the run's state passes
-    gates 2 and 3 of :class:`~repro.chase.plans.AssignmentFixingRule`,
-    key-determined ones.  Only the rest go through
-    :func:`is_assignment_fixing_for`.
-    Returns the tgd's plan, which the caller applies the step with.
+    Full tgds (Proposition 4.3) and, when *start* passes gates 2 and 3 of
+    :class:`~repro.chase.plans.AssignmentFixingRule`, key-determined tgds
+    are assignment fixing for every trigger, so their verdicts need no
+    Definition 4.3 test.  The gates are decided once, here: every state the
+    run reaches gives the same answer (see
+    :meth:`~repro.chase.plans.AssignmentFixingRule.holds_for`).
     """
+    if semantics is Semantics.SET:
+        return set_tgd_policy(plans)
     rule = plans.assignment_fixing_rule()
-    for position, plan in enumerate(plans.tgd_plans):
-        tgd = plan.tgd
-        if semantics is Semantics.BAG:
+    gates_hold = rule.holds_for(start)
+    # The plans' memoized wrapper: the nested Definition 4.3 test chases key
+    # their plan lookups on its memoized key instead of re-walking the list.
+    items_sigma = plans.dependency_set()
+    tgd_plans = plans.tgd_plans
+    bag = semantics is Semantics.BAG
+    af_memo: dict[Hashable, bool] = {} if memo is None else memo
+
+    def first_sound_step(
+        query: ConjunctiveQuery,
+        index: TargetIndex,
+        state: TriggerIndex,
+        profile: ChaseProfile,
+    ) -> tuple[TGDPlan, Homomorphism] | None:
+        for position, plan in enumerate(tgd_plans):
+            tgd = plan.tgd
             # Theorem 4.1(1): every added subgoal must be over a set-valued relation.
-            if not all(atom.predicate in set_valued for atom in tgd.conclusion):
+            if bag and not all(atom.predicate in set_valued for atom in tgd.conclusion):
                 continue
-        if state.is_clean(position):
-            profile.dependencies_skipped += 1
-            continue
-        full = not plan.existential
-        static = full or (gates_hold and rule.is_key_determined(tgd))
-        applicable = False
-        for match in iter_applicable_tgd_bindings(
-            query, tgd, index=index, plan=plan,
-        ):
-            applicable = True
-            profile.triggers_examined += 1
-            # The Definition 4.3 test needs the trigger as a mapping (it
-            # instantiates the associated test query with it), so applicable
-            # triggers — and only those — cross the dict boundary.
-            homomorphism = trigger_homomorphism(plan, match)
-            if static:
-                if not full:
-                    profile.assignment_fixing_static += 1
-                return plan, homomorphism
-            if is_assignment_fixing_for(
-                query, tgd, homomorphism, items_sigma, max_steps,
-                memo=memo, profile=profile, plan_cache=plan_cache,
+            if state.is_clean(position):
+                profile.dependencies_skipped += 1
+                continue
+            full = not plan.existential
+            static = full or (gates_hold and rule.is_key_determined(tgd))
+            applicable = False
+            for match in iter_applicable_tgd_bindings(
+                query, tgd, index=index, plan=plan,
             ):
-                return plan, homomorphism
-        if not applicable:
-            state.mark_clean(position)
-    return None
+                applicable = True
+                profile.triggers_examined += 1
+                # The Definition 4.3 test needs the trigger as a mapping (it
+                # instantiates the associated test query with it), so
+                # applicable triggers — and only those — cross the dict
+                # boundary.
+                homomorphism = trigger_homomorphism(plan, match)
+                if static:
+                    if not full:
+                        profile.assignment_fixing_static += 1
+                    return plan, homomorphism
+                if is_assignment_fixing_for(
+                    query, tgd, homomorphism, items_sigma, max_steps,
+                    memo=af_memo, profile=profile, plan_cache=cache,
+                ):
+                    return plan, homomorphism
+            if not applicable:
+                state.mark_clean(position)
+        return None
 
-
-def _drive_sound_chase(
-    current: ConjunctiveQuery,
-    plans: SigmaPlans,
-    items_sigma: DependencySet,
-    semantics: Semantics,
-    set_valued: frozenset[str],
-    dedup_predicates: set[str] | None,
-    egd_state: TriggerIndex,
-    tgd_state: TriggerIndex,
-    used_names: set[str],
-    records: list[ChaseStepRecord],
-    profile: ChaseProfile,
-    af_memo: dict[Hashable, bool],
-    max_steps: int,
-    cache: PlanCache,
-) -> ConjunctiveQuery:
-    """The delta-driven sound-chase loop, from *current* to its fixpoint.
-
-    Shared by :func:`sound_chase` (fresh state) and the incremental resume
-    in :mod:`repro.chase.incremental` (state seeded from a replayed
-    checkpoint).  The caller owns the trigger indexes, the used-name set,
-    the record list, and the Definition 4.3 memo; all are mutated in place.
-    *used_names* must hold every variable name of *current* (tgd steps are
-    applied through their compiled plans, see
-    :func:`~repro.chase.steps.apply_tgd_step`).  Returns the terminal query;
-    raises :class:`ChaseNonTerminationError` after *max_steps* rounds.
-
-    Per-run work is done once: gates 2 and 3 of Σ's
-    :class:`~repro.chase.plans.AssignmentFixingRule` are decided on the
-    start state (they then hold, or fail, for the whole run), and one
-    :class:`TargetIndex` is extended by tgd steps and rebuilt only after egd
-    steps, its counters retired once per index.
-    """
-    gates_hold = plans.assignment_fixing_rule().holds_for(current)
-    index = TargetIndex(current.body)
-    for _ in range(max_steps):
-        profile.rounds += 1
-        # Egd steps are always sound under both semantics (Theorems 4.1/4.3 item 2).
-        egd_step = _first_applicable_egd_step(
-            current, plans.egd_plans, index, egd_state, profile
-        )
-        if egd_step is not None:
-            egd, hom, left, right = egd_step
-            current, record = apply_egd_step(current, egd, hom, left, right)
-            current = deduplicate_body(current, dedup_predicates)
-            records.append(record)
-            profile.egd_steps += 1
-            egd_state.reset()
-            tgd_state.reset()
-            profile.retire_index(index)
-            index = TargetIndex(current.body)
-            continue
-
-        tgd_step = _first_sound_tgd_step(
-            current, plans, items_sigma, semantics, set_valued, max_steps,
-            index, tgd_state, profile, af_memo, cache, gates_hold,
-        )
-        if tgd_step is not None:
-            plan, hom = tgd_step
-            current, record = apply_tgd_step(
-                current, plan.tgd, hom, used_names, plan=plan
-            )
-            # No deduplication here, unlike the egd branch: a regularized tgd
-            # step cannot duplicate an existing subgoal — every conclusion
-            # atom of a regularized non-full tgd carries at least one
-            # existential variable, instantiated fresh (regularized full tgds
-            # are single-atom and applicability means that atom is absent).
-            # Duplicates *among* the added atoms require syntactically
-            # duplicated conclusion atoms and are harmless: the Theorem 6.2
-            # bag-set test compares canonical representations, and under bag
-            # semantics Theorem 4.2 only licenses dropping set-valued
-            # duplicates anyway.  tests/test_sound_chase.py pins this down.
-            records.append(record)
-            profile.tgd_steps += 1
-            added = {atom.predicate for atom in record.added_atoms}
-            egd_state.note_added(added)
-            tgd_state.note_added(added)
-            index.extend(record.added_atoms)
-            continue
-        profile.retire_index(index)
-        return current
-    raise ChaseNonTerminationError(
-        f"sound chase under {semantics} did not terminate within {max_steps} steps",
-        steps_taken=len(records),
-    )
+    return first_sound_step
 
 
 def sound_chase(
@@ -252,44 +200,15 @@ def sound_chase(
             query, dependencies, max_steps=max_steps,
             plan_cache=plan_cache, capture=capture,
         )
-
-    cache = plan_cache if plan_cache is not None else default_plan_cache()
-    plan_stats = cache.snapshot()
     _, set_valued = _split(dependencies)
-    plans = cache.plans_for(dependencies, regularize=True)
-    egds, tgds = plans.egds, plans.tgds
-    # The plans' memoized wrapper: the nested Definition 4.3 test chases key
-    # their plan lookups on its memoized key instead of re-walking the list.
-    items_sigma = plans.dependency_set()
-    dedup_predicates: set[str] | None
-    if semantics is Semantics.BAG:
-        dedup_predicates = set(set_valued)
-    else:
-        dedup_predicates = None  # bag-set: all duplicates may be dropped
 
-    profile = ChaseProfile(semantics=str(semantics))
-    started = time.perf_counter()
-    core_stats = snapshot_core_stats()
-    records: list[ChaseStepRecord] = []
-    # Forbid reuse of any variable name ever produced in this chase run.
-    used_names = set(query.variable_names())
-    # Per-run state of the acceleration layers: body index, delta trigger
-    # tracking, and the Definition 4.3 verdict memo (Σ and the step budget
-    # are fixed for the whole run, as the memo requires).
-    egd_state = TriggerIndex.from_trigger_map(len(egds), plans.egd_trigger_map)
-    tgd_state = TriggerIndex.from_trigger_map(len(tgds), plans.tgd_trigger_map)
-    af_memo: dict[Hashable, bool] = {}
-    terminal = _drive_sound_chase(
-        query, plans, items_sigma, semantics, set_valued, dedup_predicates,
-        egd_state, tgd_state, used_names, records, profile, af_memo,
-        max_steps, cache,
+    def policy_for(start: ConjunctiveQuery, plans: SigmaPlans, cache: PlanCache) -> TGDStepPolicy:
+        return tgd_step_policy(start, plans, semantics, set_valued, max_steps, cache)
+
+    return _chase(
+        query, dependencies, semantics, max_steps, plan_cache, capture,
+        policy_for, dedup_predicates(semantics, set_valued),
     )
-    profile.record_core_stats(core_stats)
-    profile.record_plan_stats(plan_stats, cache)
-    profile.wall_time = time.perf_counter() - started
-    if capture is not None:
-        capture.record(egd_state, tgd_state, used_names)
-    return ChaseResult(terminal, records, semantics, terminated=True, profile=profile)
 
 
 def chase(
@@ -354,8 +273,8 @@ def is_sound_chase_step(
     # One regularization of Σ per cache entry; the memoized DependencySet
     # wrapper keys the nested Definition 4.3 test chases' plan lookups on a
     # fingerprint computed once per Σ, not once per call.
-    items_sigma = cache.plans_for(dependencies, regularize=True).dependency_set()
-    component_plans = cache.plans_for((dependency,), regularize=True)
+    items_sigma = cache.plans_for(dependencies).dependency_set()
+    component_plans = cache.plans_for((dependency,))
     if profile is not None:
         hits, _ = plan_stats
         profile.subset_plans_reused += cache.hits - hits

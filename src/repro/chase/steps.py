@@ -255,7 +255,7 @@ def apply_tgd_step(
     ``plan`` (compiled from exactly *tgd*) makes the step's cost follow what
     it adds: fresh names are checked against *used_names* and the plan's
     variable names only, which requires *used_names* to hold every variable
-    name of *query* — the chase drivers' run-wide set does — and the grown
+    name of *query* — the chase loop's run-wide set does — and the grown
     query skips the safety check, which appending atoms cannot fail.
     """
     if plan is None:

@@ -8,9 +8,6 @@ from .decision import EquivalenceVerdict, decide_all, decide_equivalence
 from .under_dependencies import (
     contained_under_dependencies_set,
     equivalent_under_dependencies,
-    equivalent_under_dependencies_bag,
-    equivalent_under_dependencies_bag_set,
-    equivalent_under_dependencies_set,
 )
 
 __all__ = [
@@ -21,7 +18,4 @@ __all__ = [
     "equivalent_aggregate_queries",
     "equivalent_aggregate_queries_under_dependencies",
     "equivalent_under_dependencies",
-    "equivalent_under_dependencies_bag",
-    "equivalent_under_dependencies_bag_set",
-    "equivalent_under_dependencies_set",
 ]

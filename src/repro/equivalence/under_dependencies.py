@@ -16,15 +16,14 @@ the inputs terminates:
 Σ-containment under set semantics (used by C&B's backchase) is provided as
 well, via the same chase-then-dependency-free-test route.
 
-The three per-semantics functions are deprecated shims over the unified
-:class:`repro.session.Session` engine (``session.decide(q1, q2,
-semantics=...)``); the generic :func:`equivalent_under_dependencies`
-dispatcher remains the supported functional entry point.
+The decision procedures are served by the :class:`repro.session.Session`
+engine (``session.decide(q1, q2, semantics)``); the generic
+:func:`equivalent_under_dependencies` dispatcher is the functional entry
+point over it.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 from ..core.containment import is_set_contained
@@ -33,51 +32,6 @@ from ..dependencies.base import Dependency, DependencySet
 from ..semantics import Semantics
 from ..chase.set_chase import DEFAULT_MAX_STEPS
 from ..chase.sound_chase import sound_chase
-
-
-def _deprecation_message(deprecated_name: str, semantics: Semantics) -> str:
-    return (
-        f"{deprecated_name}() is deprecated; use "
-        f"Session(dependencies=...).decide(q1, q2, semantics={semantics.value!r})"
-    )
-
-
-def _session_equivalent(
-    q1: ConjunctiveQuery,
-    q2: ConjunctiveQuery,
-    dependencies: DependencySet | Sequence[Dependency],
-    semantics: Semantics,
-    max_steps: int,
-) -> bool:
-    """Shared body of the deprecated per-semantics equivalence shims.
-
-    The :class:`DeprecationWarning` is emitted by each shim itself with
-    ``stacklevel=2`` (not from here), so the warning is attributed to the
-    shim's *caller* — the code that needs migrating — rather than to this
-    module.
-    """
-    from ..session.engine import Session
-
-    session = Session(dependencies=dependencies, max_steps=max_steps)
-    return session.decide(q1, q2, semantics).equivalent
-
-
-def equivalent_under_dependencies_set(
-    q1: ConjunctiveQuery,
-    q2: ConjunctiveQuery,
-    dependencies: DependencySet | Sequence[Dependency],
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> bool:
-    """Theorem 2.2: decide ``Q1 ≡Σ,S Q2``.
-
-    Deprecated shim: delegates to ``Session.decide(semantics="set")``.
-    """
-    warnings.warn(
-        _deprecation_message("equivalent_under_dependencies_set", Semantics.SET),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _session_equivalent(q1, q2, dependencies, Semantics.SET, max_steps)
 
 
 def contained_under_dependencies_set(
@@ -91,47 +45,6 @@ def contained_under_dependencies_set(
     chased1 = sound_chase(q1, dependencies, Semantics.SET, max_steps).query
     chased2 = sound_chase(q2, dependencies, Semantics.SET, max_steps).query
     return is_set_contained(chased1, chased2)
-
-
-def equivalent_under_dependencies_bag(
-    q1: ConjunctiveQuery,
-    q2: ConjunctiveQuery,
-    dependencies: DependencySet | Sequence[Dependency],
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> bool:
-    """Theorem 6.1: decide ``Q1 ≡Σ,B Q2``.
-
-    Both queries are chased with the *sound bag chase*; the terminal results
-    are compared with the extended bag-equivalence test of Theorem 4.2
-    (isomorphism after dropping duplicate subgoals over set-valued
-    relations).
-
-    Deprecated shim: delegates to ``Session.decide(semantics="bag")``.
-    """
-    warnings.warn(
-        _deprecation_message("equivalent_under_dependencies_bag", Semantics.BAG),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _session_equivalent(q1, q2, dependencies, Semantics.BAG, max_steps)
-
-
-def equivalent_under_dependencies_bag_set(
-    q1: ConjunctiveQuery,
-    q2: ConjunctiveQuery,
-    dependencies: DependencySet | Sequence[Dependency],
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> bool:
-    """Theorem 6.2: decide ``Q1 ≡Σ,BS Q2``.
-
-    Deprecated shim: delegates to ``Session.decide(semantics="bag-set")``.
-    """
-    warnings.warn(
-        _deprecation_message("equivalent_under_dependencies_bag_set", Semantics.BAG_SET),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _session_equivalent(q1, q2, dependencies, Semantics.BAG_SET, max_steps)
 
 
 def equivalent_under_dependencies(

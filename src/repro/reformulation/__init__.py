@@ -9,9 +9,6 @@ from .aggregate_cb import (
 from .candidates import count_subquery_candidates, iter_subqueries
 from .cb import (
     ReformulationResult,
-    bag_c_and_b,
-    bag_set_c_and_b,
-    c_and_b,
     chase_and_backchase,
     naive_bag_c_and_b,
 )
@@ -20,9 +17,6 @@ from .minimality import is_sigma_minimal, is_sigma_minimal_aggregate, sigma_mini
 __all__ = [
     "AggregateReformulationResult",
     "ReformulationResult",
-    "bag_c_and_b",
-    "bag_set_c_and_b",
-    "c_and_b",
     "chase_and_backchase",
     "count_subquery_candidates",
     "is_sigma_minimal",

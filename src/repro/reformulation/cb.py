@@ -12,9 +12,10 @@ algorithm:
    (Theorem 2.2 / 6.1 / 6.2).
 
 The result records the universal plan, every equivalent reformulation found,
-and the Σ-minimal ones among them.  ``c_and_b``, ``bag_c_and_b``, and
-``bag_set_c_and_b`` are the paper's named algorithms (Theorem A.1, 6.4, K.1);
-all are sound and complete whenever the set chase of the input terminates.
+and the Σ-minimal ones among them.  Under set, bag and bag-set semantics
+this is the paper's C&B, Bag-C&B and Bag-Set-C&B (Theorems A.1, 6.4, K.1),
+served by :meth:`repro.session.Session.reformulate`; all are sound and
+complete whenever the set chase of the input terminates.
 
 **The verdict table.**  The algorithms need only each candidate's verdict
 against the universal plan U, and many verdicts follow from others.  Under
@@ -45,7 +46,6 @@ no longer raise from its own chase (e.g. by exhausting its step budget).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, cast
 
@@ -336,86 +336,6 @@ class IsomorphismBuckets:
         return True
 
 
-def _cb_deprecation_message(deprecated_name: str, semantics: Semantics) -> str:
-    return (
-        f"{deprecated_name}() is deprecated; use "
-        f"Session(dependencies=...).reformulate(query, semantics={semantics.value!r})"
-    )
-
-
-def _session_reformulate(
-    query: ConjunctiveQuery,
-    dependencies: DependencySet | Sequence[Dependency],
-    semantics: Semantics,
-    max_steps: int,
-    **kwargs: Any,
-) -> ReformulationResult:
-    """Shared body of the deprecated per-semantics C&B wrappers.
-
-    The :class:`DeprecationWarning` is emitted by each wrapper itself with
-    ``stacklevel=2`` (not from here), so it points at the wrapper's caller.
-    """
-    from ..session.engine import Session
-
-    return Session(dependencies=dependencies, max_steps=max_steps).reformulate(
-        query, semantics, **kwargs
-    )
-
-
-def c_and_b(
-    query: ConjunctiveQuery,
-    dependencies: DependencySet | Sequence[Dependency],
-    max_steps: int = DEFAULT_MAX_STEPS,
-    **kwargs: Any,
-) -> ReformulationResult:
-    """The original set-semantics C&B of Deutsch et al. (Appendix A).
-
-    Deprecated shim: delegates to ``Session.reformulate(semantics="set")``.
-    """
-    warnings.warn(
-        _cb_deprecation_message("c_and_b", Semantics.SET),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _session_reformulate(query, dependencies, Semantics.SET, max_steps, **kwargs)
-
-
-def bag_c_and_b(
-    query: ConjunctiveQuery,
-    dependencies: DependencySet | Sequence[Dependency],
-    max_steps: int = DEFAULT_MAX_STEPS,
-    **kwargs: Any,
-) -> ReformulationResult:
-    """Bag-C&B (Theorem 6.4): Σ-minimal reformulations under bag semantics.
-
-    Deprecated shim: delegates to ``Session.reformulate(semantics="bag")``.
-    """
-    warnings.warn(
-        _cb_deprecation_message("bag_c_and_b", Semantics.BAG),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _session_reformulate(query, dependencies, Semantics.BAG, max_steps, **kwargs)
-
-
-def bag_set_c_and_b(
-    query: ConjunctiveQuery,
-    dependencies: DependencySet | Sequence[Dependency],
-    max_steps: int = DEFAULT_MAX_STEPS,
-    **kwargs: Any,
-) -> ReformulationResult:
-    """Bag-Set-C&B (Theorem K.1): Σ-minimal reformulations under bag-set semantics.
-
-    Deprecated shim: delegates to ``Session.reformulate(semantics="bag-set")``.
-    """
-    warnings.warn(
-        _cb_deprecation_message("bag_set_c_and_b", Semantics.BAG_SET),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _session_reformulate(query, dependencies, Semantics.BAG_SET, max_steps, **kwargs)
-
-
 def naive_bag_c_and_b(
     query: ConjunctiveQuery,
     dependencies: DependencySet | Sequence[Dependency],
@@ -428,7 +348,8 @@ def naive_bag_c_and_b(
     dependency-free bag-equivalence test (query isomorphism).  Example 4.1
     shows this accepts reformulations that are not bag equivalent to the
     input; it is provided so tests and the E9 benchmark can reproduce that
-    failure mode and contrast it with :func:`bag_c_and_b`.
+    failure mode and contrast it with Bag-C&B
+    (``Session.reformulate(query, "bag")``).
     """
     semantics = Semantics.BAG
     dependencies = DependencySet.coerce(dependencies)

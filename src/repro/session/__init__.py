@@ -10,8 +10,10 @@ scaling feature plugs into:
 * batch pipelines with per-item error capture and optional multiprocessing
   (:mod:`repro.session.batch`).
 
-The flat top-level functions (``equivalent_under_dependencies_bag``,
-``bag_c_and_b``, ...) remain available as thin shims delegating here.
+``Session.decide`` and ``Session.reformulate`` are the entry points for the
+paper's equivalence tests and C&B variants under every semantics; the
+functional helpers (``equivalent_under_dependencies``,
+``decide_equivalence``, ``chase_and_backchase``) build a Session per call.
 """
 
 from .batch import BatchItem, BatchReport, decide_many, reformulate_many

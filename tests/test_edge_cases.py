@@ -11,14 +11,16 @@ from __future__ import annotations
 import pytest
 
 from repro.chase import ChaseFailedError, bag_chase, set_chase, sound_chase
+from repro.chase.incremental import ChaseDelta, chase_with_checkpoint, resume_chase
 from repro.core import is_bag_equivalent, is_set_equivalent
 from repro.database import DatabaseInstance, canonical_database
 from repro.datalog import parse_dependencies, parse_query
-from repro.equivalence import decide_equivalence, equivalent_under_dependencies_set
+from repro.equivalence import decide_equivalence
 from repro.evaluation import Bag, evaluate
 from repro.exceptions import ChaseNonTerminationError
-from repro.reformulation import c_and_b, is_sigma_minimal
+from repro.reformulation import is_sigma_minimal
 from repro.semantics import Semantics
+from repro.session import Session
 
 
 class TestChaseFailure:
@@ -50,12 +52,32 @@ class TestNonTermination:
         q1 = parse_query("Q(X) :- e(X,Y)")
         q2 = parse_query("Q(X) :- e(X,Y), e(Y,Z)")
         with pytest.raises(ChaseNonTerminationError):
-            equivalent_under_dependencies_set(q1, q2, self.sigma, max_steps=30)
+            Session(dependencies=self.sigma, max_steps=30).decide(q1, q2, "set")
 
     def test_reformulation_reports_non_termination(self):
         query = parse_query("Q(X) :- e(X,Y)")
         with pytest.raises(ChaseNonTerminationError):
-            c_and_b(query, self.sigma, max_steps=30)
+            Session(dependencies=self.sigma, max_steps=30).reformulate(query, "set")
+
+    @pytest.mark.parametrize("entry", ("cold", "resume"))
+    @pytest.mark.parametrize("semantics", list(Semantics))
+    def test_every_entry_reports_the_steps_taken(self, semantics, entry):
+        # An infinite e-chain.  The key egd makes the tgd key determined, so
+        # the bag and bag-set chases fire it without a Definition 4.3 test
+        # chase (which would itself exhaust the budget); e is set valued for
+        # Theorem 4.1.  The resume reaches the chain through a delta atom.
+        sigma = parse_dependencies(
+            "e(X,Y) -> e(Y,Z)\ne(X,Y) & e(X,W) -> Y = W", set_valued=["e"]
+        )
+        with pytest.raises(ChaseNonTerminationError) as excinfo:
+            if entry == "cold":
+                sound_chase(parse_query("Q(X) :- e(X,Y)"), sigma, semantics, max_steps=25)
+            else:
+                base = parse_query("Q(X) :- r(X)")
+                _, checkpoint = chase_with_checkpoint(base, sigma, semantics, max_steps=25)
+                resume_chase(checkpoint, ChaseDelta.atoms(*parse_query("Q(X) :- e(X,Y)").body))
+        # Every round of the budget applied one step.
+        assert excinfo.value.steps_taken == 25
 
     def test_budget_is_configurable(self):
         # A terminating set is unaffected by a generous budget.
@@ -101,7 +123,9 @@ class TestDegenerateInputs:
     def test_single_atom_query_reformulation(self):
         sigma = parse_dependencies("p(X,Y) -> r(X)")
         query = parse_query("Q(X) :- p(X,Y)")
-        result = c_and_b(query, sigma, check_sigma_minimality=False)
+        result = Session(dependencies=sigma).reformulate(
+            query, "set", check_sigma_minimality=False
+        )
         assert result.contains_isomorphic(query)
 
     def test_empty_dependency_set(self):

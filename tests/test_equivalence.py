@@ -13,23 +13,26 @@ from repro.equivalence import (
     equivalent_aggregate_queries,
     equivalent_aggregate_queries_under_dependencies,
     equivalent_under_dependencies,
-    equivalent_under_dependencies_bag,
-    equivalent_under_dependencies_bag_set,
-    equivalent_under_dependencies_set,
 )
 from repro.semantics import Semantics
+from repro.session import Session
+
+
+def _decide(q1, q2, dependencies, semantics):
+    """Session.decide's verdict on one pair under *dependencies*."""
+    return Session(dependencies=dependencies).decide(q1, q2, semantics).equivalent
 
 
 class TestSetEquivalenceUnderDependencies:
     def test_example_4_1_q1_equiv_q4_set(self, ex41):
-        assert equivalent_under_dependencies_set(ex41.q1, ex41.q4, ex41.dependencies)
+        assert _decide(ex41.q1, ex41.q4, ex41.dependencies, "set")
 
     def test_all_example_4_1_queries_set_equivalent(self, ex41):
         for query in (ex41.q2, ex41.q3):
-            assert equivalent_under_dependencies_set(query, ex41.q4, ex41.dependencies)
+            assert _decide(query, ex41.q4, ex41.dependencies, "set")
 
     def test_without_dependencies_not_equivalent(self, ex41):
-        assert not equivalent_under_dependencies_set(ex41.q1, ex41.q4, [])
+        assert not _decide(ex41.q1, ex41.q4, [], "set")
 
     def test_containment_under_dependencies(self, ex41):
         assert contained_under_dependencies_set(ex41.q4, ex41.q1, ex41.dependencies)
@@ -37,31 +40,31 @@ class TestSetEquivalenceUnderDependencies:
 
     def test_inequivalent_queries_stay_inequivalent(self, ex41):
         other = parse_query("Q(X) :- r(X)")
-        assert not equivalent_under_dependencies_set(other, ex41.q4, ex41.dependencies)
+        assert not _decide(other, ex41.q4, ex41.dependencies, "set")
 
 
 class TestBagEquivalenceUnderDependencies:
     def test_example_4_1_headline_result(self, ex41):
         # Q1 ≡Σ,S Q4 (above) but NOT ≡Σ,B and NOT ≡Σ,BS.
-        assert not equivalent_under_dependencies_bag(ex41.q1, ex41.q4, ex41.dependencies)
-        assert not equivalent_under_dependencies_bag_set(ex41.q1, ex41.q4, ex41.dependencies)
+        assert not _decide(ex41.q1, ex41.q4, ex41.dependencies, "bag")
+        assert not _decide(ex41.q1, ex41.q4, ex41.dependencies, "bag-set")
 
     def test_q3_bag_equivalent_to_q4(self, ex41):
-        assert equivalent_under_dependencies_bag(ex41.q3, ex41.q4, ex41.dependencies)
+        assert _decide(ex41.q3, ex41.q4, ex41.dependencies, "bag")
 
     def test_q2_bag_set_but_not_bag_equivalent_to_q4(self, ex41):
-        assert equivalent_under_dependencies_bag_set(ex41.q2, ex41.q4, ex41.dependencies)
-        assert not equivalent_under_dependencies_bag(ex41.q2, ex41.q4, ex41.dependencies)
+        assert _decide(ex41.q2, ex41.q4, ex41.dependencies, "bag-set")
+        assert not _decide(ex41.q2, ex41.q4, ex41.dependencies, "bag")
 
     def test_example_4_9_q5_bag_equivalent_to_q3(self, ex41):
         # The duplicate s-subgoal is harmless because S is set enforced.
-        assert equivalent_under_dependencies_bag(ex41.q5, ex41.q3, ex41.dependencies)
-        assert equivalent_under_dependencies_bag(ex41.q5, ex41.q4, ex41.dependencies)
+        assert _decide(ex41.q5, ex41.q3, ex41.dependencies, "bag")
+        assert _decide(ex41.q5, ex41.q4, ex41.dependencies, "bag")
 
     def test_q7_not_bag_equivalent_to_q8(self, ex41):
         # Duplicate r-subgoal over a relation that may be a bag.
-        assert not equivalent_under_dependencies_bag(ex41.q7, ex41.q8, ex41.dependencies)
-        assert equivalent_under_dependencies_bag_set(ex41.q7, ex41.q8, ex41.dependencies)
+        assert not _decide(ex41.q7, ex41.q8, ex41.dependencies, "bag")
+        assert _decide(ex41.q7, ex41.q8, ex41.dependencies, "bag-set")
 
     def test_proposition_6_1_implications(self, ex41):
         pairs = [
@@ -72,9 +75,9 @@ class TestBagEquivalenceUnderDependencies:
             (ex41.q7, ex41.q8),
         ]
         for q1, q2 in pairs:
-            bag = equivalent_under_dependencies_bag(q1, q2, ex41.dependencies)
-            bag_set = equivalent_under_dependencies_bag_set(q1, q2, ex41.dependencies)
-            set_eq = equivalent_under_dependencies_set(q1, q2, ex41.dependencies)
+            bag = _decide(q1, q2, ex41.dependencies, "bag")
+            bag_set = _decide(q1, q2, ex41.dependencies, "bag-set")
+            set_eq = _decide(q1, q2, ex41.dependencies, "set")
             assert not bag or bag_set
             assert not bag_set or set_eq
 
@@ -89,34 +92,18 @@ class TestBagEquivalenceUnderDependencies:
     def test_example_4_6_modified_chase_result_not_equivalent(self, ex46):
         # Example 4.6: Q' (the single extra t-subgoal) is NOT equivalent to Q
         # under Σ for bag or bag-set semantics; Q'' (Example 4.8) IS.
-        assert not equivalent_under_dependencies_bag_set(
-            ex46.query, ex46.query_modified_chase, ex46.dependencies
-        )
-        assert not equivalent_under_dependencies_bag(
-            ex46.query, ex46.query_modified_chase, ex46.dependencies
-        )
-        assert equivalent_under_dependencies_bag_set(
-            ex46.query, ex46.query_traditional_chase, ex46.dependencies
-        )
-        assert equivalent_under_dependencies_bag(
-            ex46.query, ex46.query_traditional_chase, ex46.dependencies
-        )
+        assert not _decide(ex46.query, ex46.query_modified_chase, ex46.dependencies, "bag-set")
+        assert not _decide(ex46.query, ex46.query_modified_chase, ex46.dependencies, "bag")
+        assert _decide(ex46.query, ex46.query_traditional_chase, ex46.dependencies, "bag-set")
+        assert _decide(ex46.query, ex46.query_traditional_chase, ex46.dependencies, "bag")
 
     def test_example_e_1_chase_result_not_bag_equivalent(self, exE1):
-        assert not equivalent_under_dependencies_bag(
-            exE1.query, exE1.chased_query, exE1.dependencies
-        )
-        assert equivalent_under_dependencies_bag_set(
-            exE1.query, exE1.chased_query, exE1.dependencies
-        )
+        assert not _decide(exE1.query, exE1.chased_query, exE1.dependencies, "bag")
+        assert _decide(exE1.query, exE1.chased_query, exE1.dependencies, "bag-set")
 
     def test_example_e_2_chase_result_not_bag_set_equivalent(self, exE2):
-        assert not equivalent_under_dependencies_bag_set(
-            exE2.query, exE2.chased_query, exE2.dependencies
-        )
-        assert equivalent_under_dependencies_set(
-            exE2.query, exE2.chased_query, exE2.dependencies
-        )
+        assert not _decide(exE2.query, exE2.chased_query, exE2.dependencies, "bag-set")
+        assert _decide(exE2.query, exE2.chased_query, exE2.dependencies, "set")
 
 
 class TestDecisionFacade:

@@ -202,6 +202,29 @@ class TestResumeVsCold:
         )
         assert is_bag_set_equivalent(outcome.result.query, cold.query)
 
+    @pytest.mark.parametrize("semantics", (Semantics.BAG, Semantics.BAG_SET))
+    def test_profile_counts_the_replay_work(self, semantics):
+        """The replay re-checks the recorded non-full tgd step by Definition
+        4.3 (here settled by the key-determined rule); the resumed run's
+        profile counts that work, as its wall time covers it.  The
+        continuation itself finds nothing to do."""
+        sigma = parse_dependencies(
+            "p(X,Y) -> t(X,Y,W)\nt(X,Y,Z) & t(X,Y,W) -> Z = W", set_valued=["t"]
+        )
+        result, checkpoint = chase_with_checkpoint(
+            parse_query("Q(X) :- p(X,Y)"), sigma, semantics
+        )
+        assert [step.kind for step in result.steps] == ["tgd"]
+        outcome = resume_chase(checkpoint, _delta_atoms("r(X)"))
+        assert outcome.resumed, outcome.fallback_reason
+        assert (outcome.replayed_steps, outcome.new_steps) == (1, 0)
+        profile = outcome.result.profile
+        assert (
+            profile.assignment_fixing_tests
+            + profile.assignment_fixing_static
+            + profile.assignment_fixing_cache_hits
+        ) >= 1
+
     def test_final_state_matches_q1_chase(self, ex41):
         _, checkpoint = chase_with_checkpoint(
             ex41.q4, ex41.dependencies, Semantics.SET
@@ -309,10 +332,13 @@ class TestSeededCampaign:
         assert not mismatches, mismatches[:5]
 
     def test_used_names_cover_the_query_at_every_driver_entry(self, monkeypatch):
-        """The drivers apply tgd steps through compiled plans, which check
+        """The loop applies tgd steps through compiled plans, which check
         fresh names against the run's used-name set alone; that is exact only
-        while the set holds every variable of the current query.  Spy on
-        every entry — the cold chases and both resumes — over the campaign."""
+        while the set holds every variable of the current query.  Spy on the
+        one loop over the campaign and record which entry reached it: a cold
+        run (called from repro.chase.set_chase) or a resume (called from
+        repro.chase.incremental), under set or sound semantics."""
+        import inspect
         from importlib import import_module
 
         from repro.fuzz.generator import generate_case
@@ -320,36 +346,33 @@ class TestSeededCampaign:
 
         entries: dict[tuple[str, str], int] = {}
 
-        def spy(module, name, used_names_at):
-            original = getattr(module, name)
+        def spy(module, entry):
+            original = module._drive_chase
+            signature = inspect.signature(original)
 
-            def checked(current, *args, **kwargs):
-                used_names = args[used_names_at]
+            def checked(*args, **kwargs):
+                arguments = signature.bind(*args, **kwargs).arguments
+                current, used_names = arguments["current"], arguments["used_names"]
                 missing = current.variable_names() - used_names
-                assert not missing, f"{module.__name__}.{name}: {sorted(missing)}"
-                key = (module.__name__, name)
+                assert not missing, f"{entry}: {sorted(missing)}"
+                kind = "set" if arguments["profile"].semantics == "set" else "sound"
+                key = (entry, kind)
                 entries[key] = entries.get(key, 0) + 1
-                return original(current, *args, **kwargs)
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, checked)
+            monkeypatch.setattr(module, "_drive_chase", checked)
 
         # The package re-exports functions named like these modules.
-        set_chase = import_module("repro.chase.set_chase")
-        sound_chase = import_module("repro.chase.sound_chase")
-        incremental = import_module("repro.chase.incremental")
-        # Positional index of used_names after `current` in each driver.
-        spy(set_chase, "_drive_set_chase", 3)
-        spy(incremental, "_drive_set_chase", 3)
-        spy(sound_chase, "_drive_sound_chase", 7)
-        spy(incremental, "_drive_sound_chase", 7)
+        spy(import_module("repro.chase.set_chase"), "cold")
+        spy(import_module("repro.chase.incremental"), "resume")
         for index in range(120):
             case = generate_case(7, index)
             _check_incremental_resume(case, CaseReport(case=case))
         assert set(entries) == {
-            ("repro.chase.set_chase", "_drive_set_chase"),
-            ("repro.chase.incremental", "_drive_set_chase"),
-            ("repro.chase.sound_chase", "_drive_sound_chase"),
-            ("repro.chase.incremental", "_drive_sound_chase"),
+            ("cold", "set"),
+            ("cold", "sound"),
+            ("resume", "set"),
+            ("resume", "sound"),
         }
 
 

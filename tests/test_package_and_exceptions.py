@@ -34,7 +34,7 @@ class TestPublicApi:
             "parse_dependencies",
             "decide_equivalence",
             "sound_chase",
-            "bag_c_and_b",
+            "Session",
             "schema_from_ddl",
             "translate_sql",
             "rewrite_query_using_views",

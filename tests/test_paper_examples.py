@@ -19,19 +19,20 @@ from repro.chase import (
 from repro.core import are_isomorphic, is_set_equivalent
 from repro.database import satisfies, satisfies_all
 from repro.dependencies import is_key_based_tgd, is_regularized, regularize_tgd
-from repro.equivalence import (
-    decide_equivalence,
-    equivalent_under_dependencies_bag,
-    equivalent_under_dependencies_bag_set,
-    equivalent_under_dependencies_set,
-)
+from repro.equivalence import decide_equivalence
 from repro.evaluation import Bag, evaluate
 from repro.paperlib import PAPER_EXAMPLES
 from repro.semantics import Semantics
+from repro.session import Session
 
 
 def _dependency(dependencies, name):
     return next(d for d in dependencies if d.name == name)
+
+
+def _decide(q1, q2, dependencies, semantics):
+    """Session.decide's verdict on one pair under *dependencies*."""
+    return Session(dependencies=dependencies).decide(q1, q2, semantics).equivalent
 
 
 class TestExample41Claims:
@@ -41,7 +42,7 @@ class TestExample41Claims:
         assert satisfies_all(ex41.counterexample, ex41.dependencies)
 
     def test_q1_equivalent_to_q4_under_set_semantics(self, ex41):
-        assert equivalent_under_dependencies_set(ex41.q1, ex41.q4, ex41.dependencies)
+        assert _decide(ex41.q1, ex41.q4, ex41.dependencies, "set")
 
     def test_q1_not_equivalent_without_dependencies(self, ex41):
         assert not is_set_equivalent(ex41.q1, ex41.q4)
@@ -57,16 +58,14 @@ class TestExample41Claims:
     def test_bag_inequivalence_witnessed_by_database(self, ex41):
         assert evaluate(ex41.q4, ex41.counterexample, "bag") == Bag([(1,)])
         assert evaluate(ex41.q1, ex41.counterexample, "bag") == Bag([(1,), (1,)])
-        assert not equivalent_under_dependencies_bag(ex41.q1, ex41.q4, ex41.dependencies)
+        assert not _decide(ex41.q1, ex41.q4, ex41.dependencies, "bag")
 
     def test_bag_set_inequivalence(self, ex41):
         assert ex41.counterexample.is_set_valued()
         assert evaluate(ex41.q1, ex41.counterexample, "bag-set") != evaluate(
             ex41.q4, ex41.counterexample, "bag-set"
         )
-        assert not equivalent_under_dependencies_bag_set(
-            ex41.q1, ex41.q4, ex41.dependencies
-        )
+        assert not _decide(ex41.q1, ex41.q4, ex41.dependencies, "bag-set")
 
     def test_sound_chase_results_are_q3_q2_q1(self, ex41):
         assert are_isomorphic(bag_chase(ex41.q4, ex41.dependencies).query, ex41.q3)
@@ -81,8 +80,8 @@ class TestExample41Claims:
 
     def test_example_4_4_q3_equivalent_to_q4_without_sigma2(self, ex41):
         sigma_prime = ex41.dependencies_without_sigma2
-        assert equivalent_under_dependencies_bag(ex41.q3, ex41.q4, sigma_prime)
-        assert equivalent_under_dependencies_bag_set(ex41.q3, ex41.q4, sigma_prime)
+        assert _decide(ex41.q3, ex41.q4, sigma_prime, "bag")
+        assert _decide(ex41.q3, ex41.q4, sigma_prime, "bag-set")
 
     def test_example_4_5_whole_sigma4_application_is_unsound(self, ex41):
         # Applying the non-regularized σ4 in its entirety yields
@@ -91,7 +90,7 @@ class TestExample41Claims:
 
         q4_prime = parse_query("Qp(X) :- p(X,Y), t(X,Y,W), u(X,Z)")
         sigma_prime = ex41.dependencies_without_sigma2
-        assert not equivalent_under_dependencies_bag_set(q4_prime, ex41.q4, sigma_prime)
+        assert not _decide(q4_prime, ex41.q4, sigma_prime, "bag-set")
         # The paper's counterexample database for this claim:
         from repro.database import DatabaseInstance
 
@@ -108,7 +107,7 @@ class TestExample41Claims:
             ex41.q5, ex41.counterexample_d1, "bag"
         )
         # ...but bag equivalent on databases where S is a set (Theorem 4.2).
-        assert equivalent_under_dependencies_bag(ex41.q3, ex41.q5, ex41.dependencies)
+        assert _decide(ex41.q3, ex41.q5, ex41.dependencies, "bag")
 
     def test_example_d_2_q7_vs_q8(self, ex41):
         from repro.database import DatabaseInstance
@@ -119,7 +118,7 @@ class TestExample41Claims:
         )
         assert evaluate(ex41.q7, database, "bag").multiplicity((1,)) == 25
         assert evaluate(ex41.q8, database, "bag").multiplicity((1,)) == 5
-        assert not equivalent_under_dependencies_bag(ex41.q7, ex41.q8, ex41.dependencies)
+        assert not _decide(ex41.q7, ex41.q8, ex41.dependencies, "bag")
 
 
 class TestExample42And51:
@@ -150,9 +149,7 @@ class TestExample43And47Deviation:
     def test_chase_step_with_sigma4_is_in_fact_sound(self, ex43):
         # Q''(X) :- p(X,Y), r(X,Z), s(Z,W), s(X,T) is equivalent to Q under Σ'
         # for bag-set semantics (the egds pin the witnesses down uniquely).
-        assert equivalent_under_dependencies_bag_set(
-            ex43.query, ex43.chased_query_47, ex43.dependencies_47
-        )
+        assert _decide(ex43.query, ex43.chased_query_47, ex43.dependencies_47, "bag-set")
 
 
 class TestExample46And48:
@@ -174,9 +171,7 @@ class TestExample46And48:
             bag_set_chase(ex46.query, ex46.dependencies).query,
             ex46.query_traditional_chase,
         )
-        assert equivalent_under_dependencies_bag(
-            ex46.query, ex46.query_traditional_chase, ex46.dependencies
-        )
+        assert _decide(ex46.query, ex46.query_traditional_chase, ex46.dependencies, "bag")
 
 
 class TestExamplesE1E2:

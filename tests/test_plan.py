@@ -208,13 +208,6 @@ class TestSigmaPlans:
         assert plans_a is not plans_b
         assert plans_a.tgds[0].name == "a" and plans_b.tgds[0].name == "b"
 
-    def test_cache_distinguishes_regularize_flag(self):
-        cache = PlanCache()
-        sigma = self._sigma()
-        assert cache.plans_for(sigma, regularize=True) is not cache.plans_for(
-            sigma, regularize=False
-        )
-
     def test_cache_lru_eviction(self):
         cache = PlanCache(maxsize=2)
         sigmas = [

@@ -16,9 +16,6 @@ from repro.exceptions import ReproError
 from repro.fuzz.generator import generate_cases
 from repro.paperlib import chain_workload, example_4_1, orders_workload, star_workload
 from repro.reformulation import (
-    bag_c_and_b,
-    bag_set_c_and_b,
-    c_and_b,
     chase_and_backchase,
     count_subquery_candidates,
     is_sigma_minimal,
@@ -31,6 +28,11 @@ from repro.reformulation import (
 )
 from repro.semantics import Semantics
 from repro.session import BUILTIN_STRATEGIES, SemanticsStrategy, Session
+
+
+def _reformulate(query, dependencies, semantics, **options):
+    """Session.reformulate's C&B result for *query* under *dependencies*."""
+    return Session(dependencies=dependencies).reformulate(query, semantics, **options)
 
 
 class TestCandidates:
@@ -100,38 +102,36 @@ class TestSigmaMinimality:
 
 class TestCBOnExample41:
     def test_set_cb_reformulation_space(self, ex41):
-        result = c_and_b(ex41.q4, ex41.dependencies, check_sigma_minimality=False)
+        result = _reformulate(ex41.q4, ex41.dependencies, "set", check_sigma_minimality=False)
         # All four of the paper's queries are equivalent reformulations under set semantics.
         for query in (ex41.q1, ex41.q2, ex41.q3, ex41.q4):
             assert result.contains_isomorphic(query)
 
     def test_bag_cb_excludes_q1_and_q2(self, ex41):
-        result = bag_c_and_b(ex41.q4, ex41.dependencies, check_sigma_minimality=False)
+        result = _reformulate(ex41.q4, ex41.dependencies, "bag", check_sigma_minimality=False)
         assert result.contains_isomorphic(ex41.q3)
         assert result.contains_isomorphic(ex41.q4)
         assert not result.contains_isomorphic(ex41.q1)
         assert not result.contains_isomorphic(ex41.q2)
 
     def test_bag_set_cb_excludes_q1_keeps_q2(self, ex41):
-        result = bag_set_c_and_b(ex41.q4, ex41.dependencies, check_sigma_minimality=False)
+        result = _reformulate(ex41.q4, ex41.dependencies, "bag-set", check_sigma_minimality=False)
         assert result.contains_isomorphic(ex41.q2)
         assert result.contains_isomorphic(ex41.q3)
         assert not result.contains_isomorphic(ex41.q1)
 
     def test_every_output_is_equivalent(self, ex41):
-        for algorithm, semantics in (
-            (c_and_b, "set"),
-            (bag_c_and_b, "bag"),
-            (bag_set_c_and_b, "bag-set"),
-        ):
-            result = algorithm(ex41.q4, ex41.dependencies, check_sigma_minimality=False)
+        for semantics in ("set", "bag", "bag-set"):
+            result = _reformulate(
+                ex41.q4, ex41.dependencies, semantics, check_sigma_minimality=False
+            )
             for reformulation in result.reformulations:
                 assert decide_equivalence(
                     reformulation, ex41.q4, ex41.dependencies, semantics
                 ).equivalent
 
     def test_minimal_reformulations_are_sigma_minimal(self, ex41):
-        result = bag_c_and_b(ex41.q4, ex41.dependencies)
+        result = _reformulate(ex41.q4, ex41.dependencies, "bag")
         assert result.minimal_reformulations
         for reformulation in result.minimal_reformulations:
             assert is_sigma_minimal(reformulation, ex41.dependencies, Semantics.BAG)
@@ -147,12 +147,12 @@ class TestCBOnExample41:
         ]
         assert unsound, "the naive algorithm should accept unsound reformulations"
         # The sound Bag-C&B accepts none of those.
-        sound = bag_c_and_b(ex41.q4, ex41.dependencies, check_sigma_minimality=False)
+        sound = _reformulate(ex41.q4, ex41.dependencies, "bag", check_sigma_minimality=False)
         for query in sound.reformulations:
             assert decide_equivalence(query, ex41.q4, ex41.dependencies, "bag")
 
     def test_result_reporting(self, ex41):
-        result = bag_c_and_b(ex41.q4, ex41.dependencies)
+        result = _reformulate(ex41.q4, ex41.dependencies, "bag")
         assert result.candidates_examined > 0
         assert len(result) == len(result.minimal_reformulations)
         assert "universal plan" in str(result)
@@ -161,7 +161,9 @@ class TestCBOnExample41:
 
 class TestCBOnWorkloads:
     def test_orders_set_cb_removes_foreign_key_joins(self, orders):
-        result = c_and_b(orders.query, orders.dependencies, check_sigma_minimality=False)
+        result = _reformulate(
+            orders.query, orders.dependencies, "set", check_sigma_minimality=False
+        )
         bodies = sorted(len(q.body) for q in result.reformulations)
         # The single-subgoal orders-only query is an equivalent reformulation.
         assert bodies[0] == 1
@@ -171,11 +173,15 @@ class TestCBOnWorkloads:
     def test_orders_bag_cb_also_removes_joins(self, orders):
         # customer and product are set valued with keys, so the lookups are
         # multiplicity preserving and may be dropped under bag semantics too.
-        result = bag_c_and_b(orders.query, orders.dependencies, check_sigma_minimality=False)
+        result = _reformulate(
+            orders.query, orders.dependencies, "bag", check_sigma_minimality=False
+        )
         assert any(len(q.body) == 1 for q in result.reformulations)
 
     def test_chain_workload_cb_shortens_query(self, chain3):
-        result = c_and_b(chain3.query, chain3.dependencies, check_sigma_minimality=False)
+        result = _reformulate(
+            chain3.query, chain3.dependencies, "set", check_sigma_minimality=False
+        )
         assert any(len(q.body) < len(chain3.query.body) for q in result.reformulations)
 
     def test_chase_and_backchase_generic_entry(self, orders):

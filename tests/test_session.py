@@ -1,5 +1,5 @@
 """Tests for the unified Session engine: registry dispatch, chase-result
-caching, batch pipelines, and the deprecation shims over the old flat API."""
+caching, batch pipelines, and the functional entry points over it."""
 
 from __future__ import annotations
 
@@ -7,22 +7,14 @@ import pytest
 
 import repro.session.strategies as strategies_module
 from repro import (
-    ChaseNonTerminationError,
     SemanticsError,
     Session,
     UnknownSemanticsError,
     parse_dependencies,
     parse_query,
 )
-from repro.equivalence import (
-    decide_all,
-    decide_equivalence,
-    equivalent_under_dependencies_bag,
-    equivalent_under_dependencies_bag_set,
-    equivalent_under_dependencies_set,
-)
+from repro.equivalence import decide_all, decide_equivalence
 from repro.equivalence.decision import EquivalenceVerdict
-from repro.reformulation import bag_c_and_b, bag_set_c_and_b, c_and_b
 from repro.semantics import Semantics
 from repro.session import (
     BatchReport,
@@ -383,6 +375,11 @@ class TestDecideAll:
             "bag": False, "bag-set": False, "set": True,
         }
 
+    def test_decide_equivalence_delegates(self, ex41, session41):
+        verdict = decide_equivalence(ex41.q1, ex41.q4, ex41.dependencies, "bag")
+        assert verdict.semantics is Semantics.BAG
+        assert verdict.equivalent is session41.decide(ex41.q1, ex41.q4, "bag").equivalent
+
     def test_proposition_6_1_chain_is_asserted(self, ex41):
         q = ex41.q4
 
@@ -524,81 +521,6 @@ class TestBatchPipelines:
         report = session41.reformulate_many([aggregate], semantics="set")
         assert report.error_count == 1
         assert report.failures[0].error_type == "SemanticsError"
-
-
-# --------------------------------------------------------------------------- #
-# Deprecation shims: old flat functions keep their outputs
-# --------------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_equivalence_family_warns_and_matches(self, ex41, session41):
-        shims = {
-            "set": equivalent_under_dependencies_set,
-            "bag": equivalent_under_dependencies_bag,
-            "bag-set": equivalent_under_dependencies_bag_set,
-        }
-        for query in (ex41.q1, ex41.q2, ex41.q3):
-            for semantics, shim in shims.items():
-                with pytest.deprecated_call():
-                    old = shim(query, ex41.q4, ex41.dependencies)
-                assert old is bool(session41.decide(query, ex41.q4, semantics))
-
-    def test_theorem_4_2_fixtures_match(self, ex41, session41):
-        # Q3 vs Q5: duplicate subgoal over the set-valued S is harmless.
-        with pytest.deprecated_call():
-            old = equivalent_under_dependencies_bag(ex41.q3, ex41.q5, ex41.dependencies)
-        assert old is True
-        assert bool(session41.decide(ex41.q3, ex41.q5, "bag")) is True
-        # Q7 vs Q8: duplicate subgoal over possibly-bag R is not (Example D.2).
-        with pytest.deprecated_call():
-            old = equivalent_under_dependencies_bag(ex41.q7, ex41.q8, ex41.dependencies)
-        assert old is False
-        assert bool(session41.decide(ex41.q7, ex41.q8, "bag")) is False
-
-    def test_cb_family_warns_and_matches(self, ex41, session41):
-        shims = {"set": c_and_b, "bag": bag_c_and_b, "bag-set": bag_set_c_and_b}
-        for semantics, shim in shims.items():
-            with pytest.deprecated_call():
-                old = shim(ex41.q4, ex41.dependencies, check_sigma_minimality=False)
-            new = session41.reformulate(
-                ex41.q4, semantics, check_sigma_minimality=False
-            )
-            assert len(old.reformulations) == len(new.reformulations)
-            for query in (ex41.q1, ex41.q2, ex41.q3, ex41.q4):
-                assert old.contains_isomorphic(query) == new.contains_isomorphic(query)
-
-    def test_decide_equivalence_delegates(self, ex41, session41):
-        verdict = decide_equivalence(ex41.q1, ex41.q4, ex41.dependencies, "bag")
-        assert verdict.semantics is Semantics.BAG
-        assert verdict.equivalent is session41.decide(ex41.q1, ex41.q4, "bag").equivalent
-
-    def test_shim_error_propagation(self, ex41):
-        with pytest.deprecated_call():
-            with pytest.raises(ChaseNonTerminationError):
-                equivalent_under_dependencies_bag(
-                    ex41.q1, ex41.q4, ex41.dependencies, max_steps=1
-                )
-
-    def test_warning_location_is_the_caller(self, ex41):
-        # All six shims must attribute their DeprecationWarning to the
-        # calling frame (stacklevel=2), i.e. to this test file — not to the
-        # module the shim lives in.
-        import warnings
-
-        shim_calls = [
-            lambda: equivalent_under_dependencies_set(ex41.q1, ex41.q4, ex41.dependencies),
-            lambda: equivalent_under_dependencies_bag(ex41.q1, ex41.q4, ex41.dependencies),
-            lambda: equivalent_under_dependencies_bag_set(ex41.q1, ex41.q4, ex41.dependencies),
-            lambda: c_and_b(ex41.q4, ex41.dependencies, check_sigma_minimality=False),
-            lambda: bag_c_and_b(ex41.q4, ex41.dependencies, check_sigma_minimality=False),
-            lambda: bag_set_c_and_b(ex41.q4, ex41.dependencies, check_sigma_minimality=False),
-        ]
-        for call in shim_calls:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-            deprecations = [w for w in caught if w.category is DeprecationWarning]
-            assert len(deprecations) == 1
-            assert deprecations[0].filename == __file__
 
 
 # --------------------------------------------------------------------------- #

@@ -16,8 +16,8 @@ from repro.database import satisfies_all
 from repro.datalog import parse_query
 from repro.equivalence import decide_equivalence
 from repro.evaluation import evaluate
-from repro.reformulation import bag_c_and_b
 from repro.semantics import Semantics
+from repro.session import Session
 from repro.witnesses import (
     find_counterexample,
     lemma_d1_counterexample,
@@ -134,7 +134,9 @@ class TestReporting:
         assert "✓" in table and "✗" in table
 
     def test_reformulation_table(self, ex41):
-        result = bag_c_and_b(ex41.q4, ex41.dependencies, check_sigma_minimality=False)
+        result = Session(dependencies=ex41.dependencies).reformulate(
+            ex41.q4, "bag", check_sigma_minimality=False
+        )
         table = reformulation_table(result)
         assert "reformulations of Q4" in table
         assert f"{result.candidates_chased} chased" in table
