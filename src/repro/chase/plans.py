@@ -10,7 +10,8 @@ each dependency's atoms into :class:`~repro.core.plan.MatchPlan` int plans
 
 * :class:`TGDPlan` / :class:`EGDPlan` — one dependency's compiled premise
   (and, for tgds, conclusion) plus its premise predicate set (consumed by
-  the :class:`~repro.chase.delta.TriggerIndex`);
+  the :class:`~repro.chase.delta.TriggerIndex`), the premise's delta
+  sub-plans, and for an egd its two-atom gate;
 * :class:`SigmaPlans` — one regularized dependency list's plans, split by
   kind exactly the way the chase loop splits dependencies, plus the
   premise-predicate trigger maps shared by every run's ``TriggerIndex``;
@@ -37,7 +38,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Hashable, Iterable, Sequence
 
-from ..core.atoms import atoms_constants
+from ..core.atoms import Atom, atoms_constants
 from ..core.plan import MatchPlan, shared_slot_links
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Constant, Term, Variable
@@ -60,6 +61,9 @@ class TGDPlan:
     variables a step instantiates fresh (none for a full tgd, Proposition
     4.3), and the names a fresh variable must avoid besides the run's used
     names (see :func:`repro.chase.steps.apply_tgd_step`).
+
+    ``premise_rests`` are the premise's delta sub-plans (see
+    :func:`premise_rests`).
     """
 
     __slots__ = (
@@ -68,6 +72,7 @@ class TGDPlan:
         "conclusion",
         "conclusion_links",
         "premise_predicates",
+        "premise_rests",
         "existential",
         "variable_names",
     )
@@ -78,6 +83,7 @@ class TGDPlan:
         self.conclusion = MatchPlan(tgd.conclusion)
         self.conclusion_links = shared_slot_links(self.premise, self.conclusion)
         self.premise_predicates = frozenset(a.predicate for a in tgd.premise)
+        self.premise_rests = premise_rests(self.premise)
         self.existential: tuple[Variable, ...] = tuple(tgd.existential_variables())
         self.variable_names = frozenset(v.name for v in tgd.all_variables())
 
@@ -90,9 +96,21 @@ class EGDPlan:
     tuple per equality, where a slot ``>= 0`` reads the term's image from
     the premise match's slot arrays and ``-1`` means the term maps to
     itself (a constant, or a variable not occurring in the premise).
+
+    ``gate`` is the egd's two-atom gate (see :func:`self_join_gate`): the
+    signatures whose body atom counts can prove the egd trigger free
+    without a scan, or ``None``.  ``premise_rests`` are the premise's delta
+    sub-plans (see :func:`premise_rests`).
     """
 
-    __slots__ = ("egd", "premise", "equality_codes", "premise_predicates")
+    __slots__ = (
+        "egd",
+        "premise",
+        "equality_codes",
+        "premise_predicates",
+        "gate",
+        "premise_rests",
+    )
 
     def __init__(self, egd: EGD):
         self.egd = egd
@@ -108,6 +126,63 @@ class EGDPlan:
             for equality in egd.equalities
         )
         self.premise_predicates = frozenset(a.predicate for a in egd.premise)
+        self.gate = self_join_gate(egd)
+        self.premise_rests = premise_rests(self.premise)
+
+
+def premise_rests(premise: MatchPlan) -> tuple[MatchPlan, ...]:
+    """Per premise atom, the rest of the premise over the same slots.
+
+    The sub-plans a delta probe pins one atom and searches the others with
+    (:func:`repro.core.homomorphism.iter_binding_matches` with ``since``),
+    compiled once per Σ with the plan that owns them; empty for a one-atom
+    premise, whose delta is a suffix of its candidate list.
+    """
+    if len(premise) < 2:
+        return ()
+    return tuple(premise.without(position) for position in range(len(premise)))
+
+
+def self_join_gate(egd: EGD) -> tuple[int, ...] | None:
+    """The signatures whose body counts can prove *egd* trigger free, or ``None``.
+
+    Unify, position by position, the premise atoms that share a signature
+    (a key egd's or an fd's two copies of its relation).  When that
+    unification identifies both sides of every equality, the result is the
+    premise's repeated signatures: while each has fewer than two atoms in
+    the body, every premise match sends all atoms of a signature onto the
+    same body atom, so it unifies them and factors through the unifier,
+    and no equality can fire.  ``None`` when the unification fails on two
+    constants or leaves some equality's sides apart: a cross-predicate egd,
+    or one that equates a term to a constant the premise does not force.
+    """
+    by_signature: dict[int, list[Atom]] = {}
+    for atom in egd.premise:
+        by_signature.setdefault(atom.sig_id, []).append(atom)
+    parent: dict[Term, Term] = {}
+
+    def find(term: Term) -> Term:
+        while term in parent:
+            term = parent[term]
+        return term
+
+    repeated = tuple(sig for sig, atoms in by_signature.items() if len(atoms) > 1)
+    for sig in repeated:
+        first, *others = by_signature[sig]
+        for other in others:
+            for left, right in zip(first.terms, other.terms):
+                left, right = find(left), find(right)
+                if left == right:
+                    continue
+                if isinstance(left, Constant):
+                    if isinstance(right, Constant):
+                        return None
+                    left, right = right, left
+                parent[left] = right
+    for equality in egd.equalities:
+        if find(equality.left) != find(equality.right):
+            return None
+    return repeated
 
 
 def _trigger_map(

@@ -61,6 +61,16 @@ class ChaseProfile:
     #: Dependency scans skipped because the delta trigger index proved no
     #: new trigger can exist since the dependency's last clean scan.
     dependencies_skipped: int = 0
+    #: Dirty egds proved clean by their two-atom gate, without a scan.
+    egd_scans_gated: int = 0
+    #: Dependency scans run only through the atoms past a watermark: a
+    #: one-atom premise's candidates from there on, or a longer premise's
+    #: pinned probe (see :mod:`repro.chase.delta`).
+    delta_probes: int = 0
+    #: Suspended premise scans of a longer tgd premise resumed where they
+    #: last fired (a one-atom premise resumes through its watermark, as a
+    #: delta probe).
+    scans_resumed: int = 0
     #: TargetIndex candidate lookups / lookups narrowed by a posting list.
     index_lookups: int = 0
     index_hits: int = 0
@@ -166,6 +176,9 @@ class ChaseProfile:
         self.tgd_steps += other.tgd_steps
         self.triggers_examined += other.triggers_examined
         self.dependencies_skipped += other.dependencies_skipped
+        self.egd_scans_gated += other.egd_scans_gated
+        self.delta_probes += other.delta_probes
+        self.scans_resumed += other.scans_resumed
         self.index_lookups += other.index_lookups
         self.index_hits += other.index_hits
         self.kernel_searches += other.kernel_searches
@@ -208,6 +221,11 @@ class ChaseProfile:
             f"({self.dependencies_skipped} dependency scans delta-skipped)",
             f"  index lookups    : {self.index_lookups} ({self.index_hit_rate:.1%} narrowed by postings)",
         ]
+        if self.egd_scans_gated or self.delta_probes or self.scans_resumed:
+            lines.append(
+                f"  incremental scans: {self.egd_scans_gated} egd scans gated, "
+                f"{self.delta_probes} delta probes, {self.scans_resumed} scans resumed"
+            )
         if self.kernel_searches:
             lines.append(f"  kernel searches  : {self.kernel_searches}")
         if self.extension_probes:

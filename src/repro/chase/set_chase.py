@@ -33,6 +33,16 @@ which rewrites terms, rebuilds it.  A tgd step is applied through the tgd's
 compiled :class:`~repro.chase.plans.TGDPlan`, which checks fresh names
 against the run's used-name set alone and skips the grown query's safety
 check.
+
+So does a round's trigger search.  A dependency scan starts where earlier
+scans proved nothing new can be found (:mod:`repro.chase.delta`): a key
+egd whose relation holds at most one atom is clean without a scan, a
+dirtied dependency is probed through the atoms added since its last clean
+scan, and a tgd whose every applicable trigger fires resumes its scan after
+the trigger it fired.  Every probe and resumed scan runs through this
+module's ``iter_applicable_{egd,tgd}_bindings`` (and the sound policy's
+through :mod:`repro.chase.sound_chase`'s), so a profiler that wraps those
+names sees all the search work.
 """
 
 from __future__ import annotations
@@ -40,9 +50,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-from ..core.homomorphism import Homomorphism, TargetIndex
+from ..core.homomorphism import BindingMatch, Homomorphism, TargetIndex
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Term
 from ..dependencies.base import EGD, Dependency, DependencySet
@@ -103,23 +113,86 @@ def _first_applicable_egd_step(
 ) -> tuple[EGD, Homomorphism, Term, Term] | None:
     """First applicable egd trigger in Σ order, delta-skipping clean egds.
 
-    Every egd scanned to exhaustion without a trigger is marked clean: its
-    no-trigger verdict is stable until an added atom matches its premise or
-    an egd step rewrites the query (see :mod:`repro.chase.delta`).
+    A dirty egd is settled by its two-atom gate when the body's signature
+    counts allow, else scanned from its watermark (:func:`_open_scan`); a
+    gate or a scan that finds no trigger marks it clean at the current body
+    length (see :mod:`repro.chase.delta`).
     """
     for position, plan in enumerate(plans):
         if state.is_clean(position):
             profile.dependencies_skipped += 1
             continue
+        gate = plan.gate
+        if gate is not None and all(index.group_size(sig) < 2 for sig in gate):
+            profile.egd_scans_gated += 1
+            state.mark_clean(position, len(index))
+            continue
         egd = plan.egd
-        for match, left, right in iter_applicable_egd_bindings(
-            query, egd, index=index, plan=plan
-        ):
+        scan = _open_scan(
+            iter_applicable_egd_bindings, query, egd, plan, index, state, position, profile
+        )
+        if scan is None:
+            continue
+        for match, left, right in scan:
             profile.triggers_examined += 1
             # Only the applied trigger crosses the dict boundary.
             return egd, trigger_homomorphism(plan, match), left, right
-        state.mark_clean(position)
+        state.mark_clean(position, len(index))
     return None
+
+
+def _open_scan(
+    search: Callable[..., Iterator[Any]],
+    query: ConjunctiveQuery,
+    dependency: Dependency,
+    plan: TGDPlan | EGDPlan,
+    index: TargetIndex,
+    state: TriggerIndex,
+    position: int,
+    profile: ChaseProfile,
+) -> Iterator[Any] | None:
+    """The applicable-trigger scan of a dirty dependency, from where it may start.
+
+    A suspended tgd scan resumes.  Otherwise the scan starts at the
+    dependency's watermark; for a longer premise that means a delta probe
+    first, and the full scan only when the probe finds a trigger, so the
+    fired trigger is the full scan's first.  ``None`` when the probe proves
+    the dependency clean (and marks it so).  *search* is the caller's
+    module-level ``iter_applicable_{egd,tgd}_bindings``, looked up per call
+    so that a profiler wrapping those names sees every probe and scan.
+    """
+    scan = state.cursor(position)
+    if scan is not None:
+        profile.scans_resumed += 1
+        return scan
+    since = state.watermark(position)
+    if since:
+        profile.delta_probes += 1
+        if len(plan.premise) > 1:
+            probe = search(query, dependency, index=index, plan=plan, since=since)
+            if next(probe, None) is None:
+                state.mark_clean(position, len(index))
+                return None
+            since = 0
+    return search(query, dependency, index=index, plan=plan, since=since)
+
+
+def _note_fired(
+    state: TriggerIndex,
+    position: int,
+    plan: TGDPlan,
+    scan: Iterator[BindingMatch],
+    match: BindingMatch,
+) -> None:
+    """A tgd whose every applicable match fires has fired on *match*: resume after it.
+
+    Call before the step is applied, so that :meth:`TriggerIndex.note_added`
+    can still drop a suspended scan whose premise the step grows.
+    """
+    if len(plan.premise) > 1:
+        state.suspend(position, scan)
+    else:
+        state.advance(position, match[3] + 1)
 
 
 def _first_applicable_tgd_step(
@@ -134,20 +207,25 @@ def _first_applicable_tgd_step(
     Under set semantics every applicable homomorphism fires, so a completed
     scan means the tgd has no applicable homomorphism at all — a verdict
     stable under growth (extendability to the conclusion is monotone) and
-    therefore always safe to mark clean.  Returns the tgd's plan, which the
-    caller applies the step with.
+    therefore always safe to mark clean — and the next scan of a tgd that
+    fired may resume after the fired match (see :mod:`repro.chase.delta`).
+    Returns the tgd's plan, which the caller applies the step with.
     """
     for position, plan in enumerate(plans):
         if state.is_clean(position):
             profile.dependencies_skipped += 1
             continue
-        for match in iter_applicable_tgd_bindings(
-            query, plan.tgd, index=index, plan=plan
-        ):
+        scan = _open_scan(
+            iter_applicable_tgd_bindings, query, plan.tgd, plan, index, state, position, profile
+        )
+        if scan is None:
+            continue
+        for match in scan:
             profile.triggers_examined += 1
+            _note_fired(state, position, plan, scan, match)
             # Only the applied trigger crosses the dict boundary.
             return plan, trigger_homomorphism(plan, match)
-        state.mark_clean(position)
+        state.mark_clean(position, len(index))
     return None
 
 

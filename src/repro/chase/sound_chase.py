@@ -30,9 +30,11 @@ The loop is delta-driven (see :mod:`repro.chase.delta`): one
 every dependency probe of the run — tgd steps extend it with the atoms they
 add, egd steps (which rewrite terms) rebuild it — and a
 :class:`~repro.chase.delta.TriggerIndex` skips dependencies that provably
-cannot have gained a trigger.  Definition 4.3 verdicts are memoized per
-canonicalized test query within the run, or settled without a test chase:
-full tgds by Proposition 4.3, key-determined tgds by
+cannot have gained a trigger, probes a dirtied one through the atoms added
+since its last clean scan, and resumes the scan of a tgd decided without a
+Definition 4.3 test where it last fired.  Definition 4.3 verdicts are
+memoized per canonicalized test query within the run, or settled without a
+test chase: full tgds by Proposition 4.3, key-determined tgds by
 :class:`~repro.chase.plans.AssignmentFixingRule`, whose query gates the
 policy decides once, on the run's start state.  Tgd steps are applied
 through their compiled :class:`~repro.chase.plans.TGDPlan`, so a step's
@@ -60,6 +62,8 @@ from .set_chase import (
     ChaseResult,
     TGDStepPolicy,
     _chase,
+    _note_fired,
+    _open_scan,
     set_chase,
     set_tgd_policy,
 )
@@ -117,7 +121,10 @@ def tgd_step_policy(
     are assignment fixing for every trigger, so their verdicts need no
     Definition 4.3 test.  The gates are decided once, here: every state the
     run reaches gives the same answer (see
-    :meth:`~repro.chase.plans.AssignmentFixingRule.holds_for`).
+    :meth:`~repro.chase.plans.AssignmentFixingRule.holds_for`).  Every
+    applicable trigger of such a tgd fires, so, as under the set policy,
+    its next scan resumes after the trigger it fired; a tested tgd's scan
+    starts over, so that the matches the test refused are examined again.
     """
     if semantics is Semantics.SET:
         return set_tgd_policy(plans)
@@ -146,10 +153,13 @@ def tgd_step_policy(
                 continue
             full = not plan.existential
             static = full or (gates_hold and rule.is_key_determined(tgd))
+            scan = _open_scan(
+                iter_applicable_tgd_bindings, query, tgd, plan, index, state, position, profile
+            )
+            if scan is None:
+                continue
             applicable = False
-            for match in iter_applicable_tgd_bindings(
-                query, tgd, index=index, plan=plan,
-            ):
+            for match in scan:
                 applicable = True
                 profile.triggers_examined += 1
                 # The Definition 4.3 test needs the trigger as a mapping (it
@@ -160,6 +170,10 @@ def tgd_step_policy(
                 if static:
                     if not full:
                         profile.assignment_fixing_static += 1
+                    # Every applicable match of a static tgd fires, so its
+                    # next scan may resume after this one; a tested tgd's
+                    # may not (see repro.chase.delta).
+                    _note_fired(state, position, plan, scan, match)
                     return plan, homomorphism
                 if is_assignment_fixing_for(
                     query, tgd, homomorphism, items_sigma, max_steps,
@@ -167,7 +181,7 @@ def tgd_step_policy(
                 ):
                     return plan, homomorphism
             if not applicable:
-                state.mark_clean(position)
+                state.mark_clean(position, len(index))
         return None
 
     return first_sound_step

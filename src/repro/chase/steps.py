@@ -23,6 +23,7 @@ from typing import Iterator, Mapping
 
 from ..core.atoms import Atom
 from ..core.homomorphism import (
+    BindingMatch,
     Homomorphism,
     TargetIndex,
     find_match,
@@ -63,22 +64,17 @@ class ChaseStepRecord:
 # TGD steps
 # ---------------------------------------------------------------------- #
 
-#: One binding-level premise match: the kernel's slot-uid array, the parallel
-#: term array, and the trail of slots bound during the search (in binding
-#: order).  All three are borrowed from the kernel and reused between yields;
-#: :func:`trigger_homomorphism` is the copy-out boundary.
-BindingMatch = tuple[list[int], "list[Term | None]", list[int]]
-
-
 def trigger_homomorphism(plan: TGDPlan | EGDPlan, match: BindingMatch) -> Homomorphism:
     """Materialize one binding-level premise match as a ``{variable: term}`` dict.
 
-    Built in trail (binding) order, exactly the dictionary the kernel's own
-    result boundary (:func:`repro.core.homomorphism.iter_matches`) would have
-    produced for the same match — chase step records stay byte-identical to
-    the frozen reference engines.
+    *match* is a kernel :data:`~repro.core.homomorphism.BindingMatch`, whose
+    arrays are borrowed; this is the copy-out boundary.  Built in trail
+    (binding) order, exactly the dictionary the kernel's own result boundary
+    (:func:`repro.core.homomorphism.iter_matches`) would have produced for
+    the same match — chase step records stay byte-identical to the frozen
+    reference engines.
     """
-    _, bound_terms, trail = match
+    bound_terms, trail = match[1], match[2]
     slot_vars = plan.premise.slot_vars
     result: Homomorphism = {}
     for slot in trail:
@@ -92,19 +88,26 @@ def iter_applicable_tgd_bindings(
     *,
     index: TargetIndex | None = None,
     plan: TGDPlan | None = None,
+    since: int = 0,
 ) -> Iterator[BindingMatch]:
     """Binding-level applicable-trigger scan: no dict per premise match.
 
-    Yields one :data:`BindingMatch` per premise homomorphism that cannot be
-    extended to cover the conclusion; the extension probe runs directly on
-    the premise slot array through the plan's precompiled
-    ``conclusion_links`` (:func:`~repro.core.homomorphism.
+    Yields one :data:`~repro.core.homomorphism.BindingMatch` per premise
+    homomorphism that cannot be extended to cover the conclusion; the
+    extension probe runs directly on the premise slot array through the
+    plan's precompiled ``conclusion_links`` (:func:`~repro.core.homomorphism.
     has_match_from_binding`), so premise matches that are already satisfied
     are discharged without ever materializing a ``{variable: term}``
     dictionary.  The yielded arrays are borrowed — callers that keep a
     trigger must copy it out (:func:`trigger_homomorphism`).  ``index`` /
     ``plan`` play the same sharing roles as in
     :func:`iter_applicable_tgd_homomorphisms`.
+
+    ``since`` restricts the scan to premise matches that use a body atom
+    with id ≥ *since* (:func:`~repro.core.homomorphism.iter_binding_matches`):
+    for a one-atom premise a suffix of the full scan, in its order; for a
+    longer premise a probe whose order is not the full scan's.  The chase
+    passes a dependency's watermark here (see :mod:`repro.chase.delta`).
     """
     if index is None:
         index = TargetIndex(query.body)
@@ -112,7 +115,7 @@ def iter_applicable_tgd_bindings(
         plan = TGDPlan(tgd)
     conclusion = plan.conclusion
     links = plan.conclusion_links
-    for match in iter_binding_matches(plan.premise, index):
+    for match in iter_binding_matches(plan.premise, index, since, plan.premise_rests):
         index.extension_probes += 1
         if has_match_from_binding(conclusion, index, links, match[0]):
             index.dicts_avoided += 1
@@ -286,6 +289,7 @@ def iter_applicable_egd_bindings(
     *,
     index: TargetIndex | None = None,
     plan: EGDPlan | None = None,
+    since: int = 0,
 ) -> Iterator[tuple[BindingMatch, Term, Term]]:
     """Binding-level egd trigger scan: ``(match, image_left, image_right)``.
 
@@ -293,14 +297,16 @@ def iter_applicable_egd_bindings(
     through the plan's precompiled ``equality_codes`` — a premise match none
     of whose equalities fire is discharged without materializing a dict.
     Applicable means the two images differ; the yielded match is borrowed
-    (copy out via :func:`trigger_homomorphism`).
+    (copy out via :func:`trigger_homomorphism`).  ``since`` restricts the
+    scan to the premise matches that use a body atom with id ≥ *since*, as
+    in :func:`iter_applicable_tgd_bindings`.
     """
     if index is None:
         index = TargetIndex(query.body)
     if plan is None:
         plan = EGDPlan(egd)
     equality_codes = plan.equality_codes
-    for match in iter_binding_matches(plan.premise, index):
+    for match in iter_binding_matches(plan.premise, index, since, plan.premise_rests):
         bound_terms = match[1]
         for left_slot, left_term, right_slot, right_term in equality_codes:
             left = bound_terms[left_slot] if left_slot >= 0 else left_term

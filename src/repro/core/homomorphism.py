@@ -55,11 +55,15 @@ compiled once and passed to many searches from the same source
 :meth:`TargetIndex.extend` and rebuilt only after egd steps, which rewrite
 terms), and the per-dependency premise/conclusion plans are compiled once
 per Σ and reused across rounds *and runs* (see :mod:`repro.chase.plans`).
+:func:`iter_binding_matches` also runs the semi-naive form of a search,
+only the matches through target atoms from a given id on, which the chase
+uses to probe a dependency through the atoms a step added.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import Counter
 from typing import Iterator, Mapping, Sequence
 
@@ -69,6 +73,13 @@ from .query import ConjunctiveQuery
 from .terms import Constant, Term, Variable
 
 Homomorphism = dict[Term, Term]
+
+#: One binding-level match: the kernel's slot-uid array, the parallel term
+#: array, the trail of slots bound during the search (in binding order),
+#: and the id of the target atom a one-atom plan matched (or, for a delta
+#: match, the pinned one; ``-1`` otherwise).  The three lists are borrowed
+#: from the kernel and reused between yields.
+BindingMatch = tuple[list[int], "list[Term | None]", list[int], int]
 
 
 def _compatible(
@@ -116,10 +127,16 @@ class TargetIndex:
     The index is reusable across any number of searches against the same
     target, and grows with it: :meth:`extend` appends atoms (a tgd chase
     step's additions) in place, leaving every candidate list equal to the
-    one a fresh index over the grown target would give.  Growing is only
-    allowed while no search over the index is suspended — a one-atom search
-    iterates a posting list directly — so the chase drivers extend between
-    rounds, after the round's searches have finished.  ``lookups`` /
+    one a fresh index over the grown target would give.  It touches only
+    the groups and postings of the signatures it adds.  So a search
+    suspended across growth resumes exactly as a fresh search over the
+    grown target would continue, provided no atom of its plan's signatures
+    was added: a one-atom search iterates a posting list directly, and a
+    backtracking search has verified candidate lists in hand.  The rule is
+    therefore **no growth of a suspended search's signatures**; the chase
+    keeps a tgd's premise search suspended across rounds on it, and drops
+    the search when its premise predicates grow (see
+    :mod:`repro.chase.delta`).  ``lookups`` /
     ``narrowed`` count how often a candidate lookup happened and how often a
     posting list strictly narrowed (or emptied) the predicate group — the
     chase profiler reports their ratio as the index hit rate — and
@@ -156,8 +173,9 @@ class TargetIndex:
         """Append *atoms* to the target, indexing only them.
 
         New atom ids follow the existing ones, so every group and posting
-        list stays in target-body order.  Not while a search over this
-        index is suspended (see the class docstring).
+        list stays in target-body order.  Only the groups and postings of
+        the added atoms' signatures change, and none of a suspended
+        search's signatures may be among them (see the class docstring).
         """
         added = tuple(atoms)
         start = len(self.atoms)
@@ -244,6 +262,11 @@ class TargetIndex:
             self.narrowed += 1
         return best
 
+    def group_size(self, sig_id: int) -> int:
+        """How many target atoms have the signature *sig_id*."""
+        group = self._groups.get(sig_id)
+        return 0 if group is None else len(group)
+
     def __len__(self) -> int:
         return len(self.atoms)
 
@@ -277,25 +300,31 @@ def _kernel_search(
     return _backtracking_search(plan, index, binding, bound_terms)
 
 
-def _one_atom_search(
-    plan: MatchPlan,
+def _one_atom_matches(
+    sig_id: int,
+    codes: Sequence[int],
     index: TargetIndex,
     binding: list[int],
     bound_terms: list[Term | None],
-) -> Iterator[list[int]]:
-    """:func:`_kernel_search` for a one-atom plan: one lookup, one loop.
+    trail: list[int],
+    since: int = 0,
+) -> Iterator[int]:
+    """The flat loop of a one-atom search: yields each matched target atom's id.
 
-    The backtracking search would verify every candidate of the single atom
-    and then re-apply each verified one.  Binding while verifying, in
-    position order, gives the same matches in the same order, the same
-    trail and the same lookup count, without the search's setup.  The loop
-    runs over the index's own candidate list, which is why the index must
-    not grow while this search is suspended.
+    One candidate lookup, then one loop that verifies and binds in position
+    order.  *trail* is the caller's empty list: at each yield it holds the
+    slots the match bound, in binding order, and it is unwound and emptied
+    before the next candidate.  Candidates with an id below *since* are
+    skipped; the rest come in target-body order, so the matches are a
+    suffix of the full search's.  The loop runs over the index's own
+    candidate list when *since* is 0, which is why the index must not grow
+    this signature while the search is suspended.
     """
-    codes = plan.codes[0]
     target_atoms = index.atoms
-    trail: list[int] = []
-    for atom_id in index.candidate_ids_coded(plan.sig_ids[0], codes, binding):
+    candidates = index.candidate_ids_coded(sig_id, codes, binding)
+    if since:
+        candidates = candidates[bisect_left(candidates, since):]
+    for atom_id in candidates:
         target_atom = target_atoms[atom_id]
         term_ids = target_atom.term_ids
         terms = target_atom.terms
@@ -312,10 +341,29 @@ def _one_atom_search(
             elif ~code != uid:
                 break
         else:
-            yield trail
+            yield atom_id
         for slot in trail:
             binding[slot] = -1
         trail.clear()
+
+
+def _one_atom_search(
+    plan: MatchPlan,
+    index: TargetIndex,
+    binding: list[int],
+    bound_terms: list[Term | None],
+) -> Iterator[list[int]]:
+    """:func:`_kernel_search` for a one-atom plan: one lookup, one loop.
+
+    The backtracking search would verify every candidate of the single atom
+    and then re-apply each verified one.  Binding while verifying, in
+    position order (:func:`_one_atom_matches`), gives the same matches in
+    the same order, the same trail and the same lookup count, without the
+    search's setup.
+    """
+    trail: list[int] = []
+    for _ in _one_atom_matches(plan.sig_ids[0], plan.codes[0], index, binding, bound_terms, trail):
+        yield trail
 
 
 def _backtracking_search(
@@ -471,23 +519,57 @@ def iter_matches(
 def iter_binding_matches(
     plan: MatchPlan,
     index: TargetIndex,
-) -> Iterator[tuple[list[int], list[Term | None], list[int]]]:
+    since: int = 0,
+    rests: Sequence[MatchPlan] = (),
+) -> Iterator[BindingMatch]:
     """Binding-level kernel matches: no dictionaries, only slot arrays.
 
-    Yields ``(binding, bound_terms, trail)`` — the kernel's slot-uid array,
-    the parallel term array, and the slots bound in binding order — once per
-    full match of *plan* into *index*.  All three are **borrowed**: the
-    kernel reuses them between yields and unwinds them on resumption, so a
-    caller that keeps a match must copy what it needs (see
+    Yields one :data:`BindingMatch` ``(binding, bound_terms, trail,
+    atom_id)`` per full match of *plan* into *index*: the kernel's slot-uid
+    array, the parallel term array, the slots bound in binding order, and,
+    for a one-atom plan, the id of the target atom it matched (``-1`` for
+    longer plans).  The first three are **borrowed**: the kernel reuses
+    them between yields and unwinds them on resumption, so a caller that
+    keeps a match must copy what it needs (see
     :func:`repro.chase.steps.trigger_homomorphism` for the dict boundary).
     Enumeration order is identical to :func:`iter_matches` with no ``fixed``
-    mapping.
+    mapping.  Counts as one kernel search.
+
+    With *since* > 0, only the matches that map some atom onto a target
+    atom with id ≥ *since* come: the semi-naive delta of the search.  For a
+    one-atom plan that is a suffix of the full enumeration, in the same
+    order, with the same ``atom_id``s.  A longer plan pins each of its atoms
+    in turn to each such target atom (that atom's ``atom_id``) and searches
+    the rest through ``rests[i] == plan.without(i)`` (compiled here when
+    not given), pre-bound by the pin; for a key egd's premise that is one
+    posting lookup per pin.  A match that uses several new atoms then
+    comes once per pin, and the order is not the full search's, so a
+    longer plan's delta answers "is there such a match?", not "which match
+    comes first?".
     """
     index.searches += 1
     binding = [-1] * len(plan.slot_vars)
     bound_terms: list[Term | None] = [None] * len(plan.slot_vars)
-    for trail in _kernel_search(plan, index, binding, bound_terms):
-        yield binding, bound_terms, trail
+    trail: list[int] = []
+    if len(plan.codes) == 1:
+        for atom_id in _one_atom_matches(
+            plan.sig_ids[0], plan.codes[0], index, binding, bound_terms, trail, since
+        ):
+            yield binding, bound_terms, trail, atom_id
+        return
+    if not since:
+        for full_trail in _backtracking_search(plan, index, binding, bound_terms):
+            yield binding, bound_terms, full_trail, -1
+        return
+    if not rests:
+        rests = [plan.without(position) for position in range(len(plan.codes))]
+    for position, rest in enumerate(rests):
+        for atom_id in _one_atom_matches(
+            plan.sig_ids[position], plan.codes[position], index,
+            binding, bound_terms, trail, since,
+        ):
+            for rest_trail in _kernel_search(rest, index, binding, bound_terms):
+                yield binding, bound_terms, trail + rest_trail, atom_id
 
 
 def has_match_from_binding(
@@ -512,7 +594,14 @@ def has_match_from_binding(
     bound_terms: list[Term | None] = [None] * len(plan.slot_vars)
     for plan_slot, source_slot in links:
         binding[plan_slot] = source_binding[source_slot]
-    for _ in _kernel_search(plan, index, binding, bound_terms):
+    matches: Iterator[object]
+    if len(plan.codes) == 1:
+        matches = _one_atom_matches(
+            plan.sig_ids[0], plan.codes[0], index, binding, bound_terms, []
+        )
+    else:
+        matches = _backtracking_search(plan, index, binding, bound_terms)
+    for _ in matches:
         return True
     return False
 

@@ -99,6 +99,27 @@ class MatchPlan:
     def __delattr__(self, attr: str) -> None:
         raise AttributeError(f"MatchPlan is immutable; cannot delete {attr!r}")
 
+    def without(self, position: int) -> "MatchPlan":
+        """This plan minus the atom at *position*, over the same slots.
+
+        The rest of a conjunction once one atom is pinned to a target atom
+        (see :func:`repro.core.homomorphism.iter_binding_matches`): the codes
+        keep this plan's slot numbers, so a slot array filled by the pinned
+        atom pre-binds the rest's search and the full match reads off the
+        same array.
+        """
+        rest = object.__new__(MatchPlan)
+        keep = [i for i in range(len(self.atoms)) if i != position]
+        codes = tuple(self.codes[i] for i in keep)
+        set_slot = object.__setattr__
+        set_slot(rest, "atoms", tuple(self.atoms[i] for i in keep))
+        set_slot(rest, "sig_ids", tuple(self.sig_ids[i] for i in keep))
+        set_slot(rest, "codes", codes)
+        set_slot(rest, "slot_vars", self.slot_vars)
+        set_slot(rest, "slot_of", self.slot_of)
+        set_slot(rest, "max_arity", max((len(c) for c in codes), default=0))
+        return rest
+
     @property
     def n_slots(self) -> int:
         """Number of distinct variables in the source conjunction."""

@@ -52,6 +52,12 @@ CANONICALIZATION_STATS = HitMissStats()
 #: may legitimately be falsy.
 _UNSET = object()
 
+#: Memo sentinel for "the derived form is the query itself".  Storing the
+#: query in its own memo would put it in a reference cycle, so it would
+#: outlive its last reference until the cyclic collector ran, and with it
+#: every weak-keyed memo entry on it; readers resolve the sentinel instead.
+_SELF = object()
+
 
 class ConjunctiveQuery:
     """A safe conjunctive query ``head_predicate(head_terms) :- body``."""
@@ -269,13 +275,13 @@ class ConjunctiveQuery:
             for atom in self.body:
                 seen.setdefault(atom, None)
             if len(seen) == len(self.body):
-                cached = self
+                cached = _SELF
             else:
                 cached = ConjunctiveQuery(
                     self.head_predicate, self.head_terms, tuple(seen)
                 )
             object.__setattr__(self, "_canonical", cached)
-        return cached  # type: ignore[return-value]
+        return self if cached is _SELF else cached  # type: ignore[return-value]
 
     def drop_duplicates_for(
         self, set_valued_predicates: Iterable[str]
@@ -304,13 +310,13 @@ class ConjunctiveQuery:
                     seen.add(atom)
                 kept.append(atom)
             if len(kept) == len(self.body):
-                result = self
+                result = _SELF
             else:
                 result = ConjunctiveQuery(
                     self.head_predicate, self.head_terms, tuple(kept)
                 )
             memo[allowed] = result  # type: ignore[index]
-        return result
+        return self if result is _SELF else result  # type: ignore[return-value]
 
     def substitute(self, mapping: Mapping[Term, Term]) -> "ConjunctiveQuery":
         """Apply a term substitution to head and body.
@@ -389,9 +395,9 @@ class ConjunctiveQuery:
             )
             cached = ConjunctiveQuery(self.head_predicate, head, body)
             # The normal form is idempotent; short-circuit repeat calls on it.
-            object.__setattr__(cached, "_normal_form", cached)
+            object.__setattr__(cached, "_normal_form", _SELF)
             object.__setattr__(self, "_normal_form", cached)
-        return cached  # type: ignore[return-value]
+        return self if cached is _SELF else cached  # type: ignore[return-value]
 
     def structural_key(self) -> tuple:
         """Hashable key of the normal form, for dictionaries and set lookups.

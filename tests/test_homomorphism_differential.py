@@ -19,7 +19,9 @@ kernel against the frozen reference backtracker.
 Two campaigns pin the chase's per-step shortcuts: an index grown in place by
 :meth:`~repro.core.homomorphism.TargetIndex.extend` must equal a fresh index
 over the same body, and the kernel's flat one-atom loop must give the
-backtracking search's matches, order, trails and counters.
+backtracking search's matches, order, trails and counters.  A third pins
+the semi-naive delta search the incremental chase probes with: exactly the
+matches that use a target atom from a given id on.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.core.homomorphism import (
     _one_atom_search,
     find_homomorphism,
     has_match_from_binding,
+    iter_binding_matches,
     iter_homomorphisms,
     iter_matches,
 )
@@ -248,3 +251,46 @@ def test_one_atom_loop_matches_backtracking_and_reference(seed):
         expected
     )
     assert (probe_index.searches, probe_index.lookups) == (1, 1)
+
+
+# --------------------------------------------------------------------------- #
+# The delta search: the matches through target atoms from `since` on
+# --------------------------------------------------------------------------- #
+def _binding_matches(plan, index, since=0, rests=()):
+    """Each binding-level match as ``(atom_id, {variable: term})``, copied out."""
+    return [
+        (atom_id, {plan.slot_vars[slot]: bound_terms[slot] for slot in trail})
+        for _, bound_terms, trail, atom_id in iter_binding_matches(plan, index, since, rests)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_delta_search_is_the_full_search_through_new_atoms(seed):
+    rng = random.Random(0xDE17A + seed)
+    constant_bias = rng.choice((0.0, 0.2, 0.4))
+    source = _random_atoms(rng, rng.randint(1, 3), constant_bias)
+    target = _random_atoms(rng, rng.randint(1, 8), constant_bias)
+    since = rng.randint(1, len(target))
+    plan = MatchPlan(source)
+    index = TargetIndex(target)
+
+    full = _binding_matches(plan, index)
+    delta = _binding_matches(plan, index, since)
+    if len(source) == 1:
+        # A suffix of the full enumeration, in its order, with its atom ids.
+        assert delta == [(atom_id, hom) for atom_id, hom in full if atom_id >= since]
+        return
+    new_atoms = set(target[since:])
+
+    def key(hom):
+        return frozenset(hom.items())
+
+    expected = {
+        key(hom)
+        for _, hom in full
+        if any(atom.substitute(hom) in new_atoms for atom in source)
+    }
+    assert {key(hom) for _, hom in delta} == expected
+    assert all(atom_id >= since for atom_id, _ in delta)
+    rests = [plan.without(position) for position in range(len(source))]
+    assert _binding_matches(plan, index, since, rests) == delta

@@ -125,3 +125,46 @@ class TestNormalForm:
 
     def test_str_round_trip_shape(self):
         assert str(make_query()) == "Q(X) :- p(X, Y), s(X, Z)"
+
+
+class TestMemosDoNotKeepTheQueryAlive:
+    """A memo whose derived form is the query itself holds no reference cycle.
+
+    With the cyclic collector off, a query must die with its last reference
+    even after a memo returned the query itself: the Session's weak-keyed
+    chase-key memo, and the key counts it reports, would otherwise depend
+    on when the collector runs.
+    """
+
+    @staticmethod
+    def _freed_once_dropped(build, derive) -> bool:
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            subject = build()
+            assert derive(subject) is subject
+            ref = weakref.ref(subject)
+            del subject
+            return ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_canonical_representation_without_duplicates(self):
+        assert self._freed_once_dropped(
+            make_query, lambda query: query.canonical_representation()
+        )
+
+    def test_set_valued_deduplication_that_drops_nothing(self):
+        assert self._freed_once_dropped(
+            make_query, lambda query: query.drop_duplicates_for({"p", "s"})
+        )
+
+    def test_normal_form_of_a_normal_form(self):
+        def build():
+            return make_query().normal_form()
+
+        assert self._freed_once_dropped(build, lambda nf: nf.normal_form())
