@@ -26,8 +26,11 @@ import time
 
 from _util import record
 
-from repro.datalog import parse_query, render_query
+import repro.serve.ops
+import repro.serve.store
+from repro.datalog import parse_dependencies, parse_query, render_query
 from repro.serve import ChaseStore, ReproClient, ReproServer
+from repro.serve.ops import execute_op
 from repro.session import Session
 
 _WARM_REQUESTS = 25
@@ -108,6 +111,116 @@ def bench_restart_first_request(benchmark, ex41, tmp_path):
         store_restart_runs=warm_stats["profile"]["runs"],
         store_restart_hits=warm_stats["store"]["hits"],
         restart_speedup=round(bare_s / warm_s, 2) if warm_s else float("inf"),
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Warm-path tier: the text work one churn cycle does
+# --------------------------------------------------------------------------- #
+#: Example 4.1's Σ plus a 12-relation key chain: the daemon churn workload's Σ.
+_CHURN_RELATIONS = [f"r{i}" for i in range(1, 13)]
+_CHURN_SIGMA = "\n".join(
+    [
+        "p(X,Y) -> s(X,Z) & t(X,V,W)",
+        "p(X,Y) -> t(X,Y,W)",
+        "p(X,Y) -> r(X)",
+        "p(X,Y) -> u(X,Z) & t(X,Y,W)",
+        "s(X,Y) & s(X,Z) -> Y = Z",
+        "t(X,Y,Z) & t(X,Y,W) -> Z = W",
+    ]
+    + [f"{rel}(X1,Y2a) & {rel}(X1,Y2b) -> Y2a = Y2b" for rel in _CHURN_RELATIONS]
+    + [f"{a}(X1,X2) -> {b}(X2,Y1)" for a, b in zip(_CHURN_RELATIONS, _CHURN_RELATIONS[1:])]
+)
+_CHURN_BASE = "Q(X0) :- r1(X0, X1)"
+_CHURN_BASE2 = "Q(X0) :- r1(X0, X1), r2(X1, X2)"
+_CHURN_GROWN = "Q(X0) :- r1(X0, X1), p(X0, Y9)"
+_CHURN_DEPENDENCY = "r1(X,Y) -> w(X)"
+_CHURN_CYCLES = 4
+
+
+def _decide(left, right):
+    return "decide", {"query": left, "other": right, "semantics": "bag-set"}
+
+
+def _delta(**params):
+    return "apply-delta", dict(params, query=_CHURN_BASE, semantics="bag-set")
+
+
+def _churn_cycle(k):
+    """Cycle *k*: grow the base query, two decides, add a dependency, two
+    decides of queries new in this cycle, remove the dependency, the first
+    two decides again."""
+    return [
+        _delta(add_atoms="p(X0, Y9)"),
+        _decide(_CHURN_GROWN, _CHURN_BASE),
+        _decide(_CHURN_BASE, _CHURN_BASE2),
+        _delta(add_dependencies=_CHURN_DEPENDENCY),
+        _decide(f"Q(X0) :- r1(X0, X1), v(X0, 'c{k}a')", _CHURN_BASE),
+        _decide(f"Q(X0) :- r1(X0, X1), v(X0, 'c{k}b')", _CHURN_BASE2),
+        _delta(remove_dependencies=_CHURN_DEPENDENCY),
+        _decide(_CHURN_GROWN, _CHURN_BASE),
+        _decide(_CHURN_BASE, _CHURN_BASE2),
+    ]
+
+
+def bench_warm_path_counts(benchmark, tmp_path, monkeypatch):
+    """Store appends and parses per churn cycle, through ``execute_op``.
+
+    An in-process replay of the daemon churn workload's cycle over a
+    :class:`ChaseStore`: every Σ edit invalidates the chase cache, so the
+    repeated decides are served off the store.  After two warm-up cycles, a
+    cycle appends only its two cold chases' records, restores no store
+    record by parsing it again, and parses only its two new query texts.
+    Parses are counted on the two module-global ``parse_query`` names the
+    serving layer calls; appends are the store's ``writes``.
+    """
+    parses = {"ops": 0, "store": 0}
+    for module, name in ((repro.serve.ops, "ops"), (repro.serve.store, "store")):
+        def counting(text, _parse=module.parse_query, _name=name):
+            parses[_name] += 1
+            return _parse(text)
+
+        monkeypatch.setattr(module, "parse_query", counting)
+
+    store = ChaseStore(tmp_path / "bench-churn-store.jsonl")
+    session = Session(
+        dependencies=parse_dependencies(
+            _CHURN_SIGMA,
+            set_valued=["s", "t", *_CHURN_RELATIONS],
+        ),
+        store=store,
+        chase_resumable=True,  # as ``repro serve`` builds its Session
+    )
+    execute_op(session, *_decide(_CHURN_BASE, _CHURN_BASE2))  # first chases
+    # Cycle 0 writes the repeated decides' records; cycle 1 first reads them.
+    warm_up = [
+        [execute_op(session, op, params) for op, params in _churn_cycle(k)]
+        for k in range(2)
+    ]
+
+    def cycles():
+        before = dict(parses, writes=store.stats()["writes"])
+        answers = [
+            [execute_op(session, op, params) for op, params in _churn_cycle(k)]
+            for k in range(2, 2 + _CHURN_CYCLES)
+        ]
+        after = dict(parses, writes=store.stats()["writes"])
+        return answers, {name: after[name] - before[name] for name in after}
+
+    answers, counts = benchmark.pedantic(cycles, rounds=1, iterations=1)
+    store.close()
+
+    def verdicts(cycle):
+        return [answer.get("equivalent", answer.get("resumed")) for answer in cycle]
+
+    assert all(verdicts(cycle) == verdicts(warm_up[0]) for cycle in warm_up + answers)
+    record(
+        benchmark,
+        measured_cycles=_CHURN_CYCLES,
+        appends_per_cycle=counts["writes"] / _CHURN_CYCLES,
+        record_parses_per_cycle=counts["store"] / _CHURN_CYCLES,
+        query_parses_per_cycle=counts["ops"] / _CHURN_CYCLES,
+        store_hit_rate=round(store.hits / (store.hits + store.misses), 3),
     )
 
 

@@ -12,9 +12,11 @@ acceptor's response path and by the worker loop alike.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable
 
 from ..chase.incremental import ChaseDelta
+from ..core.query import ConjunctiveQuery
 from ..datalog.parser import parse_atoms, parse_dependencies, parse_query
 from ..datalog.render import render_query
 from ..exceptions import (
@@ -34,6 +36,11 @@ __all__ = ["ENGINE_OPS", "execute_op", "error_payload_for"]
 #: process); ``stats`` and ``health`` stay on the acceptor.
 ENGINE_OPS = ("decide", "reformulate", "batch", "analyze", "apply-delta")
 
+#: Query texts whose parse :func:`_param_query` keeps (least recently used
+#: out first).  Small on purpose: a larger memo pins every cold text, and
+#: with it the Session's chase-key memo entry for the parsed query.
+_QUERY_MEMO_SIZE = 64
+
 
 # --------------------------------------------------------------------------- #
 # Param validation helpers.  Every rejection is a ProtocolError with a stable
@@ -48,9 +55,20 @@ def _param_str(params: dict[str, Any], name: str) -> str:
     return value
 
 
-def _param_query(params: dict[str, Any], name: str) -> Any:
+@functools.lru_cache(maxsize=_QUERY_MEMO_SIZE)
+def _parsed_query(text: str) -> ConjunctiveQuery:
+    """The parse of a request's query text, reused while the text repeats.
+
+    A repeated text gets the same query object back, so the Session's
+    per-query chase-key memo hits as well.  A miss parses through the module
+    global ``parse_query``; a :class:`ParseError` is raised, never cached.
+    """
+    return parse_query(text)
+
+
+def _param_query(params: dict[str, Any], name: str) -> ConjunctiveQuery:
     try:
-        return parse_query(_param_str(params, name))
+        return _parsed_query(_param_str(params, name))
     except ParseError as exc:
         raise ProtocolError("parse-error", f"params.{name}: {exc}") from exc
 

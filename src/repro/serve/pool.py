@@ -43,11 +43,11 @@ import asyncio
 import concurrent.futures
 import contextlib
 import itertools
+import logging
 import multiprocessing
 import multiprocessing.connection
 import os
 import signal
-import sys
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -69,6 +69,8 @@ __all__ = [
     "ThreadEngineBackend",
     "WorkerSpec",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: Default in-flight bound per worker when ``max_inflight`` is not given:
 #: enough to keep every worker busy with a short queue behind it, small
@@ -239,10 +241,9 @@ def _worker_main(
                 payload = error_payload_for(exc)
                 if payload is None:
                     payload = ("internal", f"{type(exc).__name__}: {exc}", {})
-                    print(
-                        f"repro serve worker: internal error on op {op!r}: "
-                        f"{type(exc).__name__}: {exc}",
-                        file=sys.stderr,
+                    logger.error(
+                        "repro serve worker: internal error on op %r: %s: %s",
+                        op, type(exc).__name__, exc,
                     )
                 code, message_text, detail = payload
                 conn.send(("err", rid, code, message_text, detail))
@@ -739,8 +740,7 @@ def _log_internal_failure(future: "asyncio.Future[Any]") -> None:
         return
     exc = future.exception()
     if exc is not None:  # pragma: no cover - requires a diverging worker
-        print(
-            f"repro serve: pool-internal delta replay failed: "
-            f"{type(exc).__name__}: {exc}",
-            file=sys.stderr,
+        logger.error(
+            "repro serve: pool-internal delta replay failed: %s: %s",
+            type(exc).__name__, exc,
         )

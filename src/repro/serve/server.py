@@ -28,13 +28,14 @@ Architecture (see :mod:`repro.serve.protocol` for the wire format):
 
 Nothing a client sends can kill the daemon: every anticipated failure is
 mapped to a structured error response, and unanticipated ones are answered
-with ``internal`` and logged to stderr.
+with ``internal`` and logged on this module's :mod:`logging` logger (stderr,
+through logging's last-resort handler, when logging is not configured).
 """
 
 from __future__ import annotations
 
 import asyncio
-import sys
+import logging
 import threading
 import time
 from typing import Any
@@ -62,6 +63,8 @@ from .protocol import (
 from .store import ChaseStore
 
 __all__ = ["ReproServer", "ServerHandle"]
+
+logger = logging.getLogger(__name__)
 
 
 class ReproServer:
@@ -203,10 +206,9 @@ class ReproServer:
         except Exception as exc:  # noqa: BLE001 - the server must survive anything
             payload = error_payload_for(exc)
             if payload is None:
-                print(
-                    f"repro serve: internal error on op {op!r}: "
-                    f"{type(exc).__name__}: {exc}",
-                    file=sys.stderr,
+                logger.error(
+                    "repro serve: internal error on op %r: %s: %s",
+                    op, type(exc).__name__, exc,
                 )
                 return error_response(
                     request_id, "internal", f"{type(exc).__name__}: {exc}"

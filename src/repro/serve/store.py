@@ -33,14 +33,32 @@ Design notes:
   ``profile=None``): the decision procedures consume only the terminal
   ``.query``, and re-deriving the trace would be exactly the chase the store
   exists to skip.  ``store_hit`` on the record distinguishes them.
+* **Σ is encoded once per Σ value.**  The canonical JSON of a key is
+  ``'["T",[' + ",".join(<JSON of each part>) + "]]"`` — byte for byte what
+  encoding the whole part tuple gives — so the Σ fingerprint's JSON is
+  memoized by value and joined in.  A daemon that flips Σ between two
+  values re-encodes neither; the digest bytes (and every existing store
+  file) are unchanged.
+* **Records are held compactly and restored once.**  The store keeps each
+  record as a ``(query text, semantics name, terminated, steps)`` tuple, not
+  as its decoded JSON dict, and memoizes the restored result on that tuple:
+  a record re-read after the chase cache was invalidated is not parsed
+  again, and a rewritten record is a new tuple, so it misses.  The restored
+  result is shared by reference, as the chase cache shares results.
+* **Identical rewrites are not appended.**  ``put`` of the record already
+  held for a digest writes nothing; ``writes`` counts appended lines.
+* **A torn tail does not swallow the next record.**  When the file does not
+  end in a newline (a crash cut its last line), one is written before the
+  first append, so the fragment stays one corrupt line of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-from typing import IO, Any, Iterable
+from typing import IO, Any
 
 from ..chase.set_chase import ChaseResult
 from ..core.atoms import Atom, EqualityAtom
@@ -55,6 +73,14 @@ from ..session.cache import ChaseKey
 #: records with another version are skipped at load (a cold start, not an
 #: error).
 STORE_VERSION = 1
+
+#: Distinct Σ fingerprints whose canonical JSON the digest keeps.
+_SIGMA_MEMO_SIZE = 16
+#: Held records whose restored result :meth:`ChaseStore.get` keeps.
+_RESTORED_MEMO_SIZE = 256
+
+#: A held record: (query text, semantics name, terminated, step count).
+_Held = tuple[str, str, bool, int]
 
 
 class StoreError(ReproError):
@@ -94,39 +120,86 @@ def _encode(node: Any) -> Any:
     )
 
 
+def _canonical_json(node: Any) -> str:
+    return json.dumps(_encode(node), separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=_SIGMA_MEMO_SIZE)
+def _sigma_json(fingerprint: Any) -> str:
+    """The canonical JSON of a Σ fingerprint, memoized by value."""
+    return _canonical_json(fingerprint)
+
+
 def key_digest(key: ChaseKey) -> str:
-    """A stable hex digest of a chase-cache key, usable across processes."""
-    canonical = json.dumps(_encode(key.parts), separators=(",", ":"))
+    """A stable hex digest of a chase-cache key, usable across processes.
+
+    The hashed text is ``_canonical_json(key.parts)``, assembled part by part
+    so the Σ fingerprint (``parts[1]``) is encoded once per Σ value.
+    """
+    query, sigma, *rest = key.parts
+    parts = [_canonical_json(query), _sigma_json(sigma)]
+    parts.extend(_canonical_json(part) for part in rest)
+    canonical = '["T",[' + ",".join(parts) + "]]"
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------------------- #
 # Result (de)serialization
 # --------------------------------------------------------------------------- #
-def _result_record(digest: str, result: ChaseResult) -> dict[str, Any]:
+def _held_record(result: ChaseResult) -> _Held:
     semantics = result.semantics
     name = semantics.value if isinstance(semantics, Semantics) else str(semantics)
-    return {
+    return (render_query(result.query), name, bool(result.terminated), result.step_count)
+
+
+def _line_of(digest: str, held: _Held) -> str:
+    query, semantics, terminated, steps = held
+    record = {
         "v": STORE_VERSION,
         "k": digest,
-        "query": render_query(result.query),
-        "semantics": name,
-        "terminated": bool(result.terminated),
-        "steps": result.step_count,
+        "query": query,
+        "semantics": semantics,
+        "terminated": terminated,
+        "steps": steps,
     }
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
-def _result_from_record(record: dict[str, Any]) -> ChaseResult:
+def _held_from_line(line: str) -> tuple[str, _Held]:
+    """``(digest, held record)`` of one store line; ``ValueError`` if malformed."""
+    record = json.loads(line)
+    if (
+        not isinstance(record, dict)
+        or record.get("v") != STORE_VERSION
+        or not isinstance(record.get("k"), str)
+        or not isinstance(record.get("query"), str)
+        or not isinstance(record.get("semantics", ""), str)
+        or not isinstance(record.get("steps", 0), int)
+    ):
+        raise ValueError("malformed store record")
+    held = (
+        record["query"],
+        record.get("semantics", ""),
+        bool(record.get("terminated", True)),
+        record.get("steps", 0),
+    )
+    return record["k"], held
+
+
+@functools.lru_cache(maxsize=_RESTORED_MEMO_SIZE)
+def _result_from_record(held: _Held) -> ChaseResult:
+    """The result a held record restores to; a parse failure is not cached."""
+    query, name, terminated, _ = held
     semantics: Any
     try:
-        semantics = Semantics.from_name(record["semantics"])
-    except (ReproError, ValueError, KeyError):
-        semantics = record.get("semantics", "")
+        semantics = Semantics.from_name(name)
+    except ValueError:
+        semantics = name
     return ChaseResult(
-        query=parse_query(record["query"]),
+        query=parse_query(query),
         steps=[],
         semantics=semantics,
-        terminated=bool(record.get("terminated", True)),
+        terminated=terminated,
         profile=None,
     )
 
@@ -139,8 +212,9 @@ class ChaseStore:
     rendered query each — and lookups must be as cheap as the in-memory
     cache they back); writes append one line and flush, so a crash loses at
     most the line being written and a truncated tail is skipped on the next
-    load.  Duplicate keys are legal — the *last* record for a digest wins at
-    load, so rewriting an entry is just appending it again.
+    load (the next append starts on a fresh line).  Duplicate keys are legal
+    — the *last* record for a digest wins at load, so rewriting an entry is
+    just appending it again.
 
     Instances are not thread-safe by themselves; the Session serializes
     access (the serve daemon funnels every chase through one Session).
@@ -152,7 +226,9 @@ class ChaseStore:
         self.misses = 0
         self.writes = 0
         self.corrupt_entries = 0
-        self._records: dict[str, dict[str, Any]] = {}
+        self._records: dict[str, _Held] = {}
+        #: The file's last line lacks its newline: write one before appending.
+        self._torn_tail = False
         self._load()
         try:
             self._file: IO[str] | None = open(self.path, "a", encoding="utf-8")
@@ -163,59 +239,63 @@ class ChaseStore:
     def _load(self) -> None:
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
-                lines: Iterable[str] = handle.readlines()
+                lines = handle.readlines()
         except FileNotFoundError:
             return
         except OSError as exc:
             raise StoreError(f"cannot read chase store {self.path!r}: {exc}") from exc
+        self._torn_tail = bool(lines) and not lines[-1].endswith("\n")
         for line in lines:
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                if (
-                    not isinstance(record, dict)
-                    or record.get("v") != STORE_VERSION
-                    or not isinstance(record.get("k"), str)
-                    or not isinstance(record.get("query"), str)
-                ):
-                    raise ValueError("malformed store record")
+                digest, held = _held_from_line(line)
             except ValueError:
                 # One bad line (partial write, hand edit, version skew) costs
                 # one cold chase, not the store.
                 self.corrupt_entries += 1
                 continue
-            self._records[record["k"]] = record
+            self._records[digest] = held
 
     # ------------------------------------------------------------------ #
     def get(self, key: ChaseKey) -> ChaseResult | None:
-        """The stored terminal result for *key*, re-parsed, or ``None``.
+        """The stored terminal result for *key*, restored, or ``None``.
 
         A record that fails to re-parse (e.g. written by a newer grammar) is
         dropped and counted corrupt — the caller falls back to a cold chase.
         """
-        record = self._records.get(key_digest(key))
-        if record is None:
+        digest = key_digest(key)
+        held = self._records.get(digest)
+        if held is None:
             self.misses += 1
             return None
         try:
-            result = _result_from_record(record)
+            result = _result_from_record(held)
         except ReproError:
             self.corrupt_entries += 1
             self.misses += 1
-            self._records.pop(record["k"], None)
+            del self._records[digest]
             return None
         self.hits += 1
         return result
 
     def put(self, key: ChaseKey, result: ChaseResult) -> None:
-        """Persist *result* under *key* (append + flush; last record wins)."""
+        """Persist *result* under *key* (append + flush; last record wins).
+
+        A record identical to the one held for *key* is not appended again.
+        """
         if self._file is None:
             raise StoreError(f"chase store {self.path!r} is closed")
-        record = _result_record(key_digest(key), result)
-        self._records[record["k"]] = record
-        self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
+        digest = key_digest(key)
+        held = _held_record(result)
+        if self._records.get(digest) == held:
+            return
+        self._records[digest] = held
+        if self._torn_tail:
+            self._file.write("\n")
+            self._torn_tail = False
+        self._file.write(_line_of(digest, held))
         self._file.flush()
         self.writes += 1
 

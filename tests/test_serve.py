@@ -11,6 +11,7 @@ reason to exist.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import threading
 import time
@@ -18,8 +19,10 @@ import types
 
 import pytest
 
+import repro.serve.ops as ops
 from repro.datalog import parse_dependencies, render_query
 from repro.serve import ReproClient, ReproServer, ServerError
+from repro.serve.protocol import ProtocolError
 from repro.session import Session
 
 #: A cyclic dependency set: the chase runs to its step budget and fails.
@@ -221,6 +224,30 @@ class TestErrorPaths:
         )
         assert response["error"]["code"] == "invalid-request"
 
+    def test_internal_error_is_logged(self, ex41, caplog):
+        """An unanticipated failure answers ``internal`` and logs one error."""
+        session = Session(dependencies=ex41.dependencies)
+
+        def broken_decide(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        session.decide = broken_decide  # type: ignore[method-assign]
+        server = ReproServer(session, port=0)
+        with caplog.at_level(logging.ERROR, logger="repro.serve.server"):
+            with server.start_in_thread() as handle:
+                with ReproClient(handle.host, handle.port) as client:
+                    response = client.request(
+                        "decide",
+                        {"query": _q(ex41.q1), "other": _q(ex41.q4)},
+                        check=False,
+                    )
+                    assert client.health()["status"] == "ok"
+        assert response["error"]["code"] == "internal"
+        records = [r for r in caplog.records if r.name == "repro.serve.server"]
+        assert [(r.levelno, r.getMessage()) for r in records] == [
+            (logging.ERROR, "repro serve: internal error on op 'decide': RuntimeError: boom")
+        ]
+
     def test_chase_failed_is_structured(self, ex41):
         """A budget-exhausting chase answers chase-failed and keeps serving."""
         session = Session(
@@ -338,3 +365,61 @@ class TestAnalyzeOp:
             "analyze", {"dependencies": "not a rule (("}, check=False
         )
         assert response["error"]["code"] == "parse-error"
+
+
+# --------------------------------------------------------------------------- #
+class TestQueryTextMemo:
+    """``_param_query`` parses a repeated request text once."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        ops._parsed_query.cache_clear()
+        calls: list[str] = []
+        real = ops.parse_query
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(ops, "parse_query", counting)
+        yield calls
+        ops._parsed_query.cache_clear()
+
+    @staticmethod
+    def _query(text):
+        return ops._param_query({"query": text}, "query")
+
+    def test_repeated_text_returns_the_same_query(self, parses):
+        first = self._query("Q(X) :- p(X, Y)")
+        assert self._query("Q(X) :- p(X, Y)") is first
+        assert parses == ["Q(X) :- p(X, Y)"]
+        # A different spelling is a different text: parsed on its own.
+        assert self._query("Q(X) :- p(X,Y)") is not first
+        assert len(parses) == 2
+
+    def test_parse_error_is_never_cached(self, parses):
+        for _ in range(2):
+            with pytest.raises(ProtocolError) as excinfo:
+                self._query("Q(X) :- p(X,")
+            assert excinfo.value.code == "parse-error"
+            assert "params.query" in str(excinfo.value)
+        assert parses == ["Q(X) :- p(X,"] * 2
+
+    def test_least_recently_used_text_is_evicted(self, parses):
+        texts = [f"Q(X) :- p(X, c{i})" for i in range(ops._QUERY_MEMO_SIZE + 1)]
+        held = [self._query(text) for text in texts[:-1]]
+        assert self._query(texts[0]) is held[0]  # texts[1] is now the oldest
+        self._query(texts[-1])  # one distinct text too many
+        assert parses == texts
+        assert all(self._query(text) is held[i] for i, text in enumerate(texts[2:-1], 2))
+        assert self._query(texts[0]) is held[0]
+        assert parses == texts  # every text but texts[1] is still held
+        assert self._query(texts[1]) is not held[1]
+        assert parses == texts + [texts[1]]
+
+    def test_decides_reuse_parsed_queries(self, parses, ex41):
+        session = Session(dependencies=ex41.dependencies)
+        params = {"query": _q(ex41.q1), "other": _q(ex41.q4), "semantics": "bag"}
+        answers = [ops.execute_op(session, "decide", params) for _ in range(3)]
+        assert answers[0] == answers[1] == answers[2]
+        assert parses == [_q(ex41.q1), _q(ex41.q4)]
