@@ -8,9 +8,10 @@ Bag-C&B accepts only Q3 and Q4; and the naive extension of Section 4.1
 accepts reformulations that are *not* bag equivalent to Q4 — the sound
 algorithm accepts none of those.
 
-The verdict-table tier runs C&B on the star and chain workloads of size 6
-under the three semantics and records how many backchase candidates were
-examined and how many needed a chase; the baseline pins the chased count.
+The verdict-table tier runs C&B on orders, chain5, chain6 and star6 (the
+C&B inputs of the repo benchmark's ``reformulate`` workload) under the
+three semantics and records how many backchase candidates were examined
+and how many needed a chase; the baseline pins the chased count.
 Each result must equal the exhaustive backchase, which a third-party
 strategy wrapping the built-in one takes.
 """
@@ -21,7 +22,7 @@ import pytest
 from _util import record
 
 from repro.chase.set_chase import DEFAULT_MAX_STEPS
-from repro.paperlib import chain_workload, star_workload
+from repro.paperlib import chain_workload, orders_workload, star_workload
 from repro.reformulation import naive_bag_c_and_b
 from repro.session import BUILTIN_STRATEGIES, SemanticsStrategy, Session
 
@@ -170,7 +171,13 @@ def _outputs(result):
     )
 
 
-_VERDICT_TABLE_WORKLOADS = {"star6": lambda: star_workload(6), "chain6": lambda: chain_workload(6)}
+#: Every C&B input of the repo benchmark's ``reformulate`` workload.
+_VERDICT_TABLE_WORKLOADS = {
+    "chain5": lambda: chain_workload(5),
+    "chain6": lambda: chain_workload(6),
+    "orders": orders_workload,
+    "star6": lambda: star_workload(6),
+}
 
 
 @pytest.mark.parametrize("semantics", ("set", "bag", "bag-set"))

@@ -13,11 +13,9 @@ accepted candidate.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Hashable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from ..core.atoms import Atom
 from ..core.query import ConjunctiveQuery
-from ..core.terms import Variable
 
 
 def iter_subqueries(
@@ -44,55 +42,52 @@ def iter_indexed_subqueries(
     include_full: bool = True,
 ) -> Iterator[tuple[tuple[int, ...], ConjunctiveQuery]]:
     """:func:`iter_subqueries`, each candidate paired with its body positions in the plan."""
+    for positions in iter_subquery_positions(universal_plan, min_size, max_size, include_full):
+        yield positions, subquery_at(universal_plan, positions)
+
+
+def iter_subquery_positions(
+    universal_plan: ConjunctiveQuery,
+    min_size: int = 1,
+    max_size: int | None = None,
+    include_full: bool = True,
+) -> Iterator[tuple[int, ...]]:
+    """The body positions of each safe subquery of *universal_plan*, smallest first.
+
+    No query is built: a caller that can decide a candidate from its
+    positions alone (the backchase's verdict table) builds only the queries
+    it keeps, through :func:`subquery_at`.  A subset is safe when it meets,
+    for every head variable, the positions holding that variable.
+    """
     body = universal_plan.body
-    head_variables = {
-        term for term in universal_plan.head_terms if isinstance(term, Variable)
-    }
+    holders = [
+        frozenset(i for i, atom in enumerate(body) if variable in atom.terms)
+        for variable in universal_plan.head_variables()
+    ]
     upper = len(body) if max_size is None else min(max_size, len(body))
     for size in range(max(1, min_size), upper + 1):
         if size == len(body) and not include_full:
             continue
-        for indices in combinations(range(len(body)), size):
-            atoms = tuple(body[i] for i in indices)
-            covered = {v for atom in atoms for v in atom.variables()}
-            if not head_variables <= covered:
-                continue
-            yield indices, ConjunctiveQuery(
-                universal_plan.head_predicate, universal_plan.head_terms, atoms
-            )
+        for positions in combinations(range(len(body)), size):
+            if all(not holding.isdisjoint(positions) for holding in holders):
+                yield positions
+
+
+def subquery_at(universal_plan: ConjunctiveQuery, positions: Sequence[int]) -> ConjunctiveQuery:
+    """The subquery of *universal_plan* over the body atoms at *positions*.
+
+    *positions* must be nonempty and safe, as :func:`iter_subquery_positions`
+    yields them, so the query is not validated again.
+    """
+    body = universal_plan.body
+    return ConjunctiveQuery(
+        universal_plan.head_predicate,
+        universal_plan.head_terms,
+        tuple(body[i] for i in positions),
+        validate=False,
+    )
 
 
 def count_subquery_candidates(universal_plan: ConjunctiveQuery) -> int:
     """Number of safe subqueries the backchase would consider (diagnostics)."""
-    return sum(1 for _ in iter_subqueries(universal_plan))
-
-
-def subquery_atom_indices(
-    universal_plan: ConjunctiveQuery, candidate: ConjunctiveQuery
-) -> tuple[int, ...] | None:
-    """Indices of the universal plan's body atoms that *candidate* consists of.
-
-    Returns None when the candidate's body is not a sub-multiset of the
-    plan's body (e.g. for candidates produced elsewhere).
-    """
-    available: dict[Atom, list[int]] = {}
-    for index, atom in enumerate(universal_plan.body):
-        available.setdefault(atom, []).append(index)
-    chosen: list[int] = []
-    for atom in candidate.body:
-        slots = available.get(atom)
-        if not slots:
-            return None
-        chosen.append(slots.pop(0))
-    return tuple(sorted(chosen))
-
-
-def sub_multiset_of(
-    smaller: Sequence[Hashable], larger: Sequence[Hashable]
-) -> bool:
-    """Is *smaller* a sub-multiset of *larger* (used for minimality filtering)?"""
-    from collections import Counter
-
-    small_counts = Counter(smaller)
-    large_counts = Counter(larger)
-    return all(large_counts[key] >= count for key, count in small_counts.items())
+    return sum(1 for _ in iter_subquery_positions(universal_plan))

@@ -21,8 +21,9 @@ complete whenever the set chase of the input terminates.
 against the universal plan U, and many verdicts follow from others.  Under
 the three built-in strategies the backchase records every verdict in a
 table keyed by the candidate's U-body positions (candidates still come
-smallest first) and settles a candidate without chasing it by three exact
-rules:
+smallest first, and a candidate's query is built only when it is chased or
+accepted) and settles a candidate without chasing it by four exact rules,
+tried in the order 2, 1, 4:
 
 1. *refutation* (every semantics): each built-in test needs every predicate
    of U in the chased candidate, a tgd adds its conclusion predicates only
@@ -35,13 +36,46 @@ rules:
    is a sub-multiset of U's body (always the case under the identity
    substitution) gets that candidate's verdict, since each built-in test is
    an equivalence relation and the probed reformulation is equivalent to U.
-   Only the other probes call :meth:`Session.decide`.
+   Only the other probes call :meth:`Session.decide`;
+4. *re-derivation* (every semantics): a candidate from which U can be
+   rebuilt, inside U, by chase steps sound for the semantics is accepted.
+   Starting from T := S, a *guided step* uses a tgd σ of the compiled,
+   regularized Σ whose steps are sound in every state: any tgd under set
+   semantics; under bag-set semantics a full tgd (Proposition 4.3) or, when
+   U passes gates 2 and 3 of
+   :class:`~repro.chase.plans.AssignmentFixingRule`, a key-determined one;
+   under bag semantics as under bag-set, with every conclusion predicate
+   set valued (Theorem 4.1(1)).  The step needs a premise match h into T
+   (an atom U holds twice is in T when either copy is) that is applicable
+   in T, i.e. no extension of h maps σ's conclusion into T, and an
+   extension h′ of h that maps the conclusion onto atoms C of U outside T,
+   one position per conclusion atom, each an atom U holds once, with σ's
+   existential variables sent to distinct variables that occur nowhere in
+   T.  It sets T := T ∪ C.  When the steps reach every position of U, the
+   verdict is True; otherwise the candidate is chased.
 
-A third-party strategy's test need not have these properties, so its C&B
-chases every candidate.  The rules change no output; the one observable
+   *Proof.*  Up to renaming the fresh variables, T ∪ C is the result of the
+   chase step (σ, h) on T: the trigger is applicable, and the existential
+   images are distinct and absent from T.  Every such step is sound for
+   the semantics (Theorems 4.1 and 4.3, Proposition 4.3, and the proof on
+   :class:`~repro.chase.plans.AssignmentFixingRule`): gate 2 is about Σ
+   alone, and gate 3, which holds on U, holds on every T ⊆ U.  So S ≡Σ U
+   under the semantics, and since U is Q's sound chase, S is a
+   reformulation of Q: by the completeness of the test C&B relies on,
+   chasing S and testing the result would have answered True.  Like the
+   assignment-fixing rule, the proof takes the Definition 4.3 test chases
+   of key-determined tgds to terminate.
+
+The possible guided steps are computed once per C&B call as bitmasks over
+U's positions, so rule 4 costs a candidate one bitmask closure: no query,
+no chase key, no chase, no equivalence test.  A third-party strategy's
+test need not have the properties the rules rely on, so its C&B chases
+every candidate.  The rules change no output; the one observable
 difference is that a candidate settled by a rule is never chased, so it can
-no longer raise from its own chase (e.g. by exhausting its step budget).
-``ReformulationResult.candidates_chased`` counts the candidates that were.
+no longer raise from its own chase (e.g. by exhausting its step budget),
+and its chase lands in neither the chase cache nor an attached store.
+``ReformulationResult.candidates_chased`` counts the candidates that were
+chased.
 """
 
 from __future__ import annotations
@@ -49,14 +83,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, cast
 
-from ..core.homomorphism import are_isomorphic
+from ..core import homomorphism
+from ..core.atoms import Atom
+from ..core.homomorphism import TargetIndex, are_isomorphic
 from ..core.query import ConjunctiveQuery
+from ..core.terms import Term, Variable
 from ..dependencies.base import TGD, Dependency, DependencySet
 from ..semantics import Semantics
+from ..chase.plans import AssignmentFixingRule, PlanCache, TGDPlan
 from ..chase.set_chase import DEFAULT_MAX_STEPS, ChaseResult
 from ..chase.sound_chase import sound_chase
 from ..session.strategies import BUILTIN_STRATEGIES
-from .candidates import iter_indexed_subqueries, iter_subqueries, subquery_atom_indices
+from .candidates import iter_subqueries, iter_subquery_positions, subquery_at
 from .minimality import is_sigma_minimal
 
 if TYPE_CHECKING:
@@ -160,7 +198,7 @@ def chase_and_backchase(
     chase_result = chase(query)
     universal_plan = chase_result.query
     table = (
-        _VerdictTable(universal_plan, sigma, upward_closed=strategy.token is Semantics.SET)
+        _VerdictTable(universal_plan, sigma, semantics_label, session.plan_cache)
         if type(strategy) in BUILTIN_STRATEGIES
         else None
     )
@@ -174,11 +212,12 @@ def chase_and_backchase(
     reformulations: list[ConjunctiveQuery] = []
     distinct = IsomorphismBuckets()
     examined = chased = 0
-    for positions, candidate in iter_indexed_subqueries(
-        universal_plan, max_size=max_candidate_size
-    ):
+    for positions in iter_subquery_positions(universal_plan, max_size=max_candidate_size):
         examined += 1
         verdict = None if table is None else table.settle(positions)
+        if verdict is False:
+            continue
+        candidate = subquery_at(universal_plan, positions)
         if verdict is None:
             chased += 1
             verdict = equivalence_test(chase(candidate).query, universal_plan)
@@ -232,31 +271,55 @@ def _position_mask(positions: Sequence[int]) -> int:
     return mask
 
 
+#: One guided step of rule 4 as bitmasks over U's body positions:
+#: ``(premise, blocked, added, witnesses)``.  ``premise`` holds, per premise
+#: atom, the positions of its image's copies; ``added`` the positions of the
+#: conclusion's images; ``blocked`` those plus every position holding an
+#: existential variable's image; ``witnesses``, per other extension of the
+#: premise match into U, the positions of each conclusion image's copies.
+_GuidedStep = tuple[tuple[int, ...], int, int, tuple[tuple[int, ...], ...]]
+
+
 class _VerdictTable:
-    """Backchase verdicts keyed by U-body positions, and the three rules.
+    """Backchase verdicts keyed by U-body positions, and the four rules.
 
     See the module docstring for the rules and their proofs.  Positions are
-    held as bitmasks, so the upward-closure test is one ``&`` per accepted
-    candidate.  Only the built-in strategies get a table: the proofs rely on
-    their equivalence tests.
+    held as bitmasks: the upward-closure test is one ``&`` per accepted
+    candidate, a minimality lookup one dict probe per atom, and a
+    re-derivation one closure over the guided steps, which are computed on
+    first use, once per table.  Only the built-in strategies get a table:
+    the proofs rely on their equivalence tests.
     """
 
     __slots__ = (
         "_plan",
+        "_sigma",
+        "_semantics",
+        "_plan_cache",
         "_verdicts",
         "_predicates",
         "_needed",
         "_tgds",
-        "_upward_closed",
         "_accepted",
+        "_positions",
+        "_full",
+        "_steps",
     )
 
     def __init__(
-        self, universal_plan: ConjunctiveQuery, sigma: DependencySet, *, upward_closed: bool
+        self,
+        universal_plan: ConjunctiveQuery,
+        sigma: DependencySet,
+        semantics: Semantics | str,
+        plan_cache: PlanCache,
     ):
+        body = universal_plan.body
         self._plan = universal_plan
+        self._sigma = sigma
+        self._semantics = semantics
+        self._plan_cache = plan_cache
         self._verdicts: dict[int, bool] = {}
-        self._predicates = [atom.predicate for atom in universal_plan.body]
+        self._predicates = [atom.predicate for atom in body]
         self._needed = frozenset(self._predicates)
         self._tgds = [
             (
@@ -266,36 +329,57 @@ class _VerdictTable:
             for dependency in sigma.dependencies
             if isinstance(dependency, TGD)
         ]
-        self._upward_closed = upward_closed
-        #: Masks of the candidates accepted by a chase; under upward closure
-        #: every other accepted candidate contains one of them.
+        #: Masks of the candidates accepted by a chase or by rule 4; under
+        #: upward closure every other accepted candidate contains one of them.
         self._accepted: list[int] = []
+        #: Each atom of U → its positions, in body order.
+        self._positions: dict[Atom, list[int]] = {}
+        for position, atom in enumerate(body):
+            self._positions.setdefault(atom, []).append(position)
+        self._full = (1 << len(body)) - 1
+        self._steps: list[_GuidedStep] | None = None
 
     def settle(self, positions: Sequence[int]) -> bool | None:
-        """Rules 2 and 1: the verdict of the candidate at *positions*, or None to chase it."""
+        """Rules 2, 1 and 4: the verdict of the candidate at *positions*, or None to chase it."""
         mask = _position_mask(positions)
-        if self._upward_closed and any(
+        if self._semantics is Semantics.SET and any(
             mask & accepted == accepted for accepted in self._accepted
         ):
-            verdict = True
-        elif not self._reaches_needed({self._predicates[i] for i in positions}):
-            verdict = False
-        else:
-            return None
-        self._verdicts[mask] = verdict
-        return verdict
+            self._verdicts[mask] = True
+            return True
+        if not self._reaches_needed({self._predicates[i] for i in positions}):
+            self._verdicts[mask] = False
+            return False
+        if self._rederives(mask):
+            self._store(mask, True)
+            return True
+        return None
 
     def record(self, positions: Sequence[int], verdict: bool) -> None:
         """Store the verdict a chase gave the candidate at *positions*."""
-        mask = _position_mask(positions)
+        self._store(_position_mask(positions), verdict)
+
+    def _store(self, mask: int, verdict: bool) -> None:
         self._verdicts[mask] = verdict
         if verdict:
             self._accepted.append(mask)
 
     def lookup(self, query: ConjunctiveQuery) -> bool | None:
-        """Rule 3: the verdict of *query* when its body is a sub-multiset of U's body."""
-        positions = subquery_atom_indices(self._plan, query)
-        return None if positions is None else self._verdicts.get(_position_mask(positions))
+        """Rule 3: the verdict of *query* when its body is a sub-multiset of U's body.
+
+        Each atom takes the first of its positions in U not taken yet.
+        """
+        positions = self._positions
+        taken: dict[Atom, int] = {}
+        mask = 0
+        for atom in query.body:
+            slots = positions.get(atom)
+            used = taken.get(atom, 0)
+            if slots is None or used == len(slots):
+                return None
+            taken[atom] = used + 1
+            mask |= 1 << slots[used]
+        return self._verdicts.get(mask)
 
     def _reaches_needed(self, reached: set[str]) -> bool:
         """Can Σ's tgds, fired from the predicates *reached*, produce every predicate of U?"""
@@ -311,6 +395,99 @@ class _VerdictTable:
                 return False
             pending = waiting
         return True
+
+    def _rederives(self, mask: int) -> bool:
+        """Rule 4: do guided steps grow the candidate at *mask* to all of U?"""
+        pending = self._steps
+        if pending is None:
+            pending = self._steps = self._guided_steps()
+        reached = mask
+        while reached != self._full:
+            waiting = []
+            fired = False
+            for step in pending:
+                premise, blocked, added, witnesses = step
+                if reached & blocked:
+                    continue  # reached only grows, so the step stays blocked
+                if all(copies & reached for copies in premise) and not any(
+                    all(copies & reached for copies in witness) for witness in witnesses
+                ):
+                    reached |= added
+                    fired = True
+                else:
+                    waiting.append(step)
+            if not fired:
+                return False
+            pending = waiting
+        return True
+
+    def _guided_steps(self) -> list[_GuidedStep]:
+        """Every guided step inside U of a tgd whose steps are sound in every state."""
+        plans = self._plan_cache.plans_for(self._sigma)
+        rule = plans.assignment_fixing_rule()
+        gates_hold = rule.holds_for(self._plan)
+        body = self._plan.body
+        copies = {atom: _position_mask(positions) for atom, positions in self._positions.items()}
+        holding: dict[Term, int] = {}
+        for position, atom in enumerate(body):
+            for variable in atom.variables():
+                holding[variable] = holding.get(variable, 0) | 1 << position
+        index = TargetIndex(body)
+        # A dict keeps the first of equal steps (U's duplicate atoms repeat matches).
+        steps: dict[_GuidedStep, None] = {}
+        for plan in plans.tgd_plans:
+            if not self._sound_in_every_state(plan, rule, gates_hold):
+                continue
+            tgd = plan.tgd
+            for match in homomorphism.iter_matches(plan.premise, index):
+                premise = tuple(copies[atom.substitute(match)] for atom in tgd.premise)
+                extensions = list(homomorphism.iter_matches(plan.conclusion, index, match))
+                images = [
+                    tuple(copies[atom.substitute(extension)] for atom in tgd.conclusion)
+                    for extension in extensions
+                ]
+                for chosen, (extension, targets) in enumerate(zip(extensions, images)):
+                    # Each conclusion atom onto its own position of an atom U holds once.
+                    if any(target & (target - 1) for target in targets):
+                        continue
+                    added = 0
+                    for target in targets:
+                        added |= target
+                    if added.bit_count() != len(targets):
+                        continue
+                    # Existential variables onto distinct variables.
+                    fresh = {extension[variable] for variable in plan.existential}
+                    if len(fresh) != len(plan.existential) or not all(
+                        isinstance(term, Variable) for term in fresh
+                    ):
+                        continue
+                    blocked = added
+                    for term in fresh:
+                        blocked |= holding[term]
+                    witnesses = tuple(
+                        witness for other, witness in enumerate(images) if other != chosen
+                    )
+                    steps[(premise, blocked, added, witnesses)] = None
+        return list(steps)
+
+    def _sound_in_every_state(
+        self, plan: TGDPlan, rule: AssignmentFixingRule, gates_hold: bool
+    ) -> bool:
+        """Is every step of *plan*'s tgd on a sub-multiset of U sound under the semantics?
+
+        *gates_hold* is *rule*'s gates 2 and 3 on U; when they hold there, they
+        hold on every sub-multiset of U.
+        """
+        if self._semantics is Semantics.SET:
+            return True
+        tgd = plan.tgd
+        # Theorem 4.1(1): under bag semantics every added subgoal must be set valued.
+        if self._semantics is Semantics.BAG and not all(
+            atom.predicate in self._sigma.set_valued_predicates for atom in tgd.conclusion
+        ):
+            return False
+        # Proposition 4.3, or the assignment-fixing rule's three gates.
+        return not plan.existential or (gates_hold and rule.is_key_determined(tgd))
 
 
 class IsomorphismBuckets:

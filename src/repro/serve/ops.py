@@ -154,6 +154,8 @@ def _op_reformulate(session: Session, params: dict[str, Any]) -> dict[str, Any]:
         "reformulations": sorted(
             (render_query(q) for q in result.reformulations), key=len
         ),
+        "candidates_examined": result.candidates_examined,
+        "candidates_chased": result.candidates_chased,
     }
     if minimal_only:
         payload["minimal_reformulations"] = sorted(

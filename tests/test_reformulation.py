@@ -11,6 +11,7 @@ import repro.reformulation.cb as cb_module
 from repro.chase.set_chase import DEFAULT_MAX_STEPS
 from repro.core import are_isomorphic
 from repro.datalog import parse_aggregate_query, parse_dependencies, parse_query
+from repro.dependencies import DependencySet
 from repro.equivalence import decide_equivalence
 from repro.exceptions import ReproError
 from repro.fuzz.generator import generate_cases
@@ -341,6 +342,37 @@ def _differences(dependencies, queries, max_steps=DEFAULT_MAX_STEPS, **kwargs):
     return differences
 
 
+def _campaign(seed, max_plan_atoms=None):
+    """The differences over the first 300 fuzz cases of *seed*, and the queries compared.
+
+    A query whose chase fails under some semantics is kept: its error kind
+    is compared.
+    """
+    cases = generate_cases(seed, 300)
+    differences = []
+    kept = 0
+    for block in range(0, len(cases), 10):
+        group = cases[block:block + 10]
+        dependencies, max_steps = group[0].dependencies, group[0].max_steps
+        queries = [q for case in group for q in (case.query, case.other)]
+        if max_plan_atoms is not None:
+            session = Session(dependencies=dependencies, max_steps=max_steps)
+            queries = [
+                q for q in queries
+                if _largest_plan(session, q) <= max_plan_atoms
+            ]
+        kept += len(queries)
+        differences += _differences(dependencies, queries, max_steps=max_steps)
+    return differences, kept
+
+
+def _largest_plan(session, query):
+    try:
+        return max(len(session.chase(query, semantics).query.body) for semantics in SEMANTICS)
+    except ReproError:
+        return 0
+
+
 def _paper_inputs():
     ex41 = example_4_1()
     yield "example-4.1", ex41.dependencies, [
@@ -374,15 +406,15 @@ class TestVerdictTableDifferential:
         assert _differences(dependencies, queries) == []
 
     def test_seed0_fuzz_campaign(self):
-        cases = generate_cases(0, 300)
-        differences = []
-        for block in range(0, len(cases), 10):
-            group = cases[block:block + 10]
-            queries = [q for case in group for q in (case.query, case.other)]
-            differences += _differences(
-                group[0].dependencies, queries, max_steps=group[0].max_steps
-            )
-        assert differences == []
+        differences, kept = _campaign(0)
+        assert (differences, kept) == ([], 600)
+
+    def test_seed1_fuzz_campaign(self):
+        # The exhaustive reference chases every one of U's 2^|U| - 1
+        # candidates, so queries whose universal plan has more than 8 atoms
+        # under some semantics are left out.
+        differences, kept = _campaign(1, max_plan_atoms=8)
+        assert (differences, kept) == ([], 579)
 
     def test_max_candidate_size_is_respected(self):
         star = star_workload(6)
@@ -395,6 +427,21 @@ class TestVerdictTableDifferential:
         assert all(len(q.body) <= 2 for q in result.reformulations)
 
 
+def _star6_with_a_constant():
+    """star6 with one more tgd, which mentions a constant.
+
+    A constant in Σ fails gate 2 of the assignment-fixing rule, so under bag
+    and bag-set semantics no spoke tgd is sound in every state and rule 4
+    accepts nothing; the new tgd's premise predicates are not in U, so it
+    changes no chase of a candidate.
+    """
+    star = star_workload(6)
+    return DependencySet(
+        [*star.dependencies, *parse_dependencies("p(X,Y) & w(X) -> f(X, 1)")],
+        set_valued_predicates=star.dependencies.set_valued_predicates,
+    ), star.query
+
+
 class TestVerdictTableRules:
     def test_refutation_skips_star_candidates_without_hub(self, monkeypatch):
         star = star_workload(6)
@@ -402,22 +449,57 @@ class TestVerdictTableRules:
         chased = _spy(monkeypatch, session, "chase")
         result = session.reformulate(star.query, "bag", check_sigma_minimality=False)
         # 127 candidates; the 63 without hub cannot regain it, every spoke
-        # tgd needs hub in its premise.
+        # tgd needs hub in its premise, and the 64 with it rebuild U by
+        # spoke steps (rule 4).
         assert result.candidates_examined == 127
-        assert result.candidates_chased == 64
+        assert result.candidates_chased == 0
         assert all("hub" in query.predicates() for query in chased)
         stats = session.cache_stats()
-        assert stats.hits + stats.misses == 1 + 64
+        assert stats.hits + stats.misses == 1 + 0
+
+    @pytest.mark.parametrize("semantics", ("bag", "bag-set"))
+    def test_refutation_alone_when_a_constant_gates_rederivation_off(
+        self, monkeypatch, semantics
+    ):
+        sigma, query = _star6_with_a_constant()
+        session = Session(dependencies=sigma)
+        chased = _spy(monkeypatch, session, "chase")
+        result = session.reformulate(query, semantics, check_sigma_minimality=False)
+        # The 64 candidates with hub are chased, but for the full body: that
+        # is U itself, which rule 4 accepts after no step.
+        assert result.candidates_examined == 127
+        assert result.candidates_chased == 63
+        assert all("hub" in candidate.predicates() for candidate in chased)
+        assert len(result.universal_plan.body) == 7
+        assert all(len(candidate.body) < 7 for candidate in chased)
+        assert len(result.reformulations) == 64
+        stats = session.cache_stats()
+        assert stats.hits + stats.misses == 1 + 63
+        assert _differences(sigma, [query]) == []
+
+    def test_upward_closure_settles_supersets_of_a_chased_acceptance(self, monkeypatch):
+        # No tgd, so rule 4 accepts only the full body: each singleton is
+        # chased and accepted under set semantics, and the pairs contain one.
+        query = parse_query("Q(X) :- e(X,Y), e(X,Z), e(X,W)")
+        session = Session(dependencies=[])
+        chased = _spy(monkeypatch, session, "chase")
+        result = session.reformulate(query, "set", check_sigma_minimality=False)
+        assert (result.candidates_examined, result.candidates_chased) == (7, 3)
+        assert [len(q.body) for q in chased] == [3, 1, 1, 1]
+        assert len(result.reformulations) == 3
+        # Bag semantics has no upward closure: the pairs are chased too.
+        result = session.reformulate(query, "bag", check_sigma_minimality=False)
+        assert (result.candidates_examined, result.candidates_chased) == (7, 6)
 
     @pytest.mark.parametrize(
         "workload, semantics, chased, reformulations",
         [
-            ("star6", "set", 1, 64),
-            ("star6", "bag", 64, 64),
-            ("star6", "bag-set", 64, 64),
-            ("chain6", "set", 1, 32),
-            ("chain6", "bag", 32, 6),
-            ("chain6", "bag-set", 32, 6),
+            ("star6", "set", 0, 64),
+            ("star6", "bag", 0, 64),
+            ("star6", "bag-set", 0, 64),
+            ("chain6", "set", 0, 32),
+            ("chain6", "bag", 26, 6),
+            ("chain6", "bag-set", 26, 6),
         ],
     )
     def test_upward_closure_only_under_set_semantics(
@@ -434,6 +516,18 @@ class TestVerdictTableRules:
         assert decided == []
         stats = session.cache_stats()
         assert stats.hits + stats.misses == 1 + chased
+
+    def test_rederivation_needs_distinct_existential_images(self):
+        # The chase step of p(X) -> q(X,Z1,Z2) on p(X) adds q(X,Z1,Z2), two
+        # fresh variables, so it cannot rebuild q(X,V,V): Q(X) :- p(X) is no
+        # reformulation, though sending Z1 and Z2 onto V would reach U.
+        sigma = parse_dependencies("p(X) -> q(X,Z1,Z2)")
+        query = parse_query("Q(X) :- p(X), q(X,V,V)")
+        result = Session(dependencies=sigma).reformulate(query, "set")
+        assert result.universal_plan == query
+        assert result.reformulations == [query]
+        assert result.candidates_chased == 1
+        assert _differences(sigma, [query]) == []
 
     def test_probes_outside_the_plan_fall_back_to_decide(self, monkeypatch):
         # Collapsing Y, Z, W yields shortened queries with a repeated

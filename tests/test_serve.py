@@ -82,6 +82,16 @@ class TestEndpoints:
             render_query(q) for q in expected.reformulations
         )
 
+    def test_reformulate_reports_candidate_counts(self, client, ex41):
+        served = client.reformulate(_q(ex41.q4), "bag")
+        expected = Session(dependencies=ex41.dependencies).reformulate(
+            ex41.q4, "bag", check_sigma_minimality=False
+        )
+        assert served["candidates_examined"] == expected.candidates_examined
+        assert served["candidates_chased"] == expected.candidates_chased
+        assert 0 <= served["candidates_chased"] <= served["candidates_examined"]
+        assert served["candidates_examined"] > 0
+
     def test_reformulate_minimal_only(self, client, ex41):
         served = client.reformulate(_q(ex41.q4), "bag", minimal_only=True)
         assert "minimal_reformulations" in served
