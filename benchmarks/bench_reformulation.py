@@ -12,8 +12,8 @@ The verdict-table tier runs C&B on orders, chain5, chain6 and star6 (the
 C&B inputs of the repo benchmark's ``reformulate`` workload) under the
 three semantics and records how many backchase candidates were examined
 and how many needed a chase; the baseline pins the chased count.
-Each result must equal the exhaustive backchase, which a third-party
-strategy wrapping the built-in one takes.
+Each result must equal the chase-every-candidate reference C&B
+(:mod:`repro.reformulation.reference`).
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from __future__ import annotations
 import pytest
 from _util import record
 
-from repro.chase.set_chase import DEFAULT_MAX_STEPS
 from repro.paperlib import chain_workload, orders_workload, star_workload
 from repro.reformulation import naive_bag_c_and_b
-from repro.session import BUILTIN_STRATEGIES, SemanticsStrategy, Session
+from repro.reformulation.reference import chase_and_backchase_reference
+from repro.session import Session
 
 _ALGORITHMS = {
     "set (C&B)": "set",
@@ -145,23 +145,6 @@ def bench_chain_reformulation_scaling(benchmark, length):
     )
 
 
-class _ExhaustiveStrategy(SemanticsStrategy):
-    """A built-in strategy behind a third-party type: C&B chases every candidate."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = inner.name
-
-    def chase(self, query, dependencies, max_steps=DEFAULT_MAX_STEPS):
-        return self.inner.chase(query, dependencies, max_steps)
-
-    def chase_with_plans(self, query, dependencies, max_steps, plan_cache):
-        return self.inner.chase_with_plans(query, dependencies, max_steps, plan_cache)
-
-    def equivalent_chased(self, chased1, chased2, dependencies):
-        return self.inner.equivalent_chased(chased1, chased2, dependencies)
-
-
 def _outputs(result):
     return (
         result.universal_plan,
@@ -191,10 +174,9 @@ def bench_backchase_verdict_table(benchmark, workload, semantics):
         return session.reformulate(built.query, semantics)
 
     result = benchmark(run)
-    exhaustive = Session(dependencies=built.dependencies)
-    for strategy in BUILTIN_STRATEGIES:
-        exhaustive.register_semantics(_ExhaustiveStrategy(strategy()), replace=True)
-    reference = exhaustive.reformulate(built.query, semantics)
+    reference = chase_and_backchase_reference(
+        Session(dependencies=built.dependencies), built.query, semantics
+    )
     assert _outputs(result) == _outputs(reference)
     assert reference.candidates_chased == reference.candidates_examined
     record(

@@ -5,7 +5,7 @@ This walks through the paper's motivating Example 4.1 end to end, using the
 unified :class:`repro.Session` engine:
 
 1. declare the dependencies Σ (tgds, key egds, set-enforced relations),
-2. open a Session over Σ — it owns the semantics registry and chase cache,
+2. open a Session over Σ — it owns the chase cache,
 3. state the queries Q1 and Q4 in rule notation,
 4. ask whether they are equivalent under set, bag-set, and bag semantics,
 5. inspect the sound chase results the verdicts are based on (all served

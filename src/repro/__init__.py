@@ -9,8 +9,8 @@ algorithms — plus the substrates they need (query model, bag-valued database
 engine, dependency machinery, SQL and datalog front ends).
 
 Typical use — the :class:`Session` engine binds Σ once and serves chases,
-decisions, and reformulations through a shared cache and semantics
-registry::
+decisions, and reformulations under set, bag and bag-set semantics through
+a shared cache::
 
     from repro import Session, parse_dependencies, parse_query
 
@@ -127,10 +127,7 @@ from .session import (
     BatchReport,
     CacheStats,
     ChaseCache,
-    SemanticsRegistry,
-    SemanticsStrategy,
     Session,
-    default_registry,
 )
 from .sql import query_to_sql, schema_from_ddl, translate_sql
 from .views import ViewDefinition, ViewSet, rewrite_query_using_views
@@ -178,8 +175,6 @@ __all__ = [
     "SchemaError",
     "Semantics",
     "SemanticsError",
-    "SemanticsRegistry",
-    "SemanticsStrategy",
     "Session",
     "TGD",
     "TerminationCertificate",
@@ -198,7 +193,6 @@ __all__ = [
     "cq",
     "decide_all",
     "decide_equivalence",
-    "default_registry",
     "equivalent_aggregate_queries",
     "equivalent_aggregate_queries_under_dependencies",
     "equivalent_under_dependencies",

@@ -66,7 +66,7 @@ def _load_dependencies(args) -> "DependencySet":
 
 
 def _build_session(args, *, chase_resumable: bool = False) -> Session:
-    """One Session per CLI invocation: shared cache, registry dispatch."""
+    """One Session per CLI invocation: one chase cache for every decision it makes."""
     return Session(
         dependencies=_load_dependencies(args),
         max_steps=args.max_steps,

@@ -25,12 +25,7 @@ from ..chase.set_chase import DEFAULT_MAX_STEPS
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
-    """The outcome of a Σ-aware equivalence test, with its evidence.
-
-    ``semantics`` is the :class:`~repro.semantics.Semantics` member for the
-    paper's three semantics; verdicts produced by a third-party strategy
-    carry that strategy's name string instead.
-    """
+    """The outcome of a Σ-aware equivalence test, with its evidence."""
 
     equivalent: bool
     semantics: Semantics

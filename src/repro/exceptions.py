@@ -98,23 +98,21 @@ class ReformulationError(ReproError):
 
 
 class SemanticsError(ReproError):
-    """A problem with a query-evaluation semantics or its strategy."""
+    """A problem with a query-evaluation semantics."""
 
 
 class UnknownSemanticsError(SemanticsError, KeyError):
-    """A semantics name has no strategy registered for it.
+    """A name that is none of the paper's three semantics (nor an alias of one).
 
-    Raised by :class:`repro.session.SemanticsRegistry` (and therefore by
-    every :class:`repro.session.Session` entry point) when asked to dispatch
-    on a semantics that neither the built-in strategies nor a third-party
-    registration covers.  ``known`` lists the canonical names that *are*
-    registered, so the error message doubles as discovery.
+    Raised by every :class:`repro.session.Session` entry point, and by
+    ``Session(default_semantics=...)`` itself.  ``known`` lists the
+    canonical names, so the error message doubles as discovery.
     """
 
     def __init__(self, name: object, known: "tuple[str, ...]" = ()):
         message = f"unknown semantics {name!r}"
         if known:
-            message += f"; registered semantics: {', '.join(known)}"
+            message += f"; known semantics: {', '.join(known)}"
         # Bypass KeyError.__str__'s repr-of-args behaviour.
         Exception.__init__(self, message)
         self.name = name

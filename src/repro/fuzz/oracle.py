@@ -78,6 +78,7 @@ from ..equivalence.decision import EquivalenceVerdict
 from ..exceptions import ChaseNonTerminationError, ReproError
 from ..schema.schema import DatabaseSchema
 from ..semantics import Semantics
+from ..session import strategies
 from ..session.engine import Session, assert_proposition_6_1
 from ..sql import query_to_sql, translate_sql
 from .generator import FuzzCase
@@ -323,9 +324,8 @@ def _check_verdicts(
             continue
         if left[0] != "terminated" or right[0] != "terminated":
             continue
-        strategy = session.strategy_for(semantics)
-        expected = strategy.equivalent_chased(
-            left[1].query, right[1].query, session.dependencies
+        expected = strategies.equivalent_chased(
+            left[1].query, right[1].query, session.dependencies, semantics
         )
         if bool(verdict) != bool(expected):
             report.mismatches.append(
@@ -495,8 +495,6 @@ def _check_incremental_resume(case: FuzzCase, report: CaseReport) -> None:
         return
     base_query, sigma, deltas = decomposed
     semantics = ALL_SEMANTICS[(case.index or 0) % len(ALL_SEMANTICS)]
-    session = Session(max_steps=case.max_steps)
-    strategy = session.strategy_for(semantics)
     try:
         _, checkpoint = chase_with_checkpoint(
             base_query, sigma, semantics, case.max_steps
@@ -554,8 +552,8 @@ def _check_incremental_resume(case: FuzzCase, report: CaseReport) -> None:
                 )
             )
             return
-        if not strategy.equivalent_chased(
-            outcome.result.query, cold[1].query, new_sigma
+        if not strategies.equivalent_chased(
+            outcome.result.query, cold[1].query, new_sigma, semantics
         ):
             report.mismatches.append(
                 OracleMismatch(

@@ -96,12 +96,7 @@ def sum_count_c_and_b(
     max_steps: int = DEFAULT_MAX_STEPS,
     **kwargs: Any,
 ) -> AggregateReformulationResult:
-    """Sum-Count-C&B: reformulate a sum/count query via Bag-Set-C&B on its core.
-
-    The core's result carries whatever token the engine's "bag-set" strategy
-    stamps — the built-in enum member, or a custom name when a third-party
-    strategy has been registered over that semantics.
-    """
+    """Sum-Count-C&B: reformulate a sum/count query via Bag-Set-C&B on its core."""
     core_result = chase_and_backchase(
         query.core(), dependencies, Semantics.BAG_SET, max_steps, **kwargs
     )

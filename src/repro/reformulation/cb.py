@@ -18,14 +18,13 @@ served by :meth:`repro.session.Session.reformulate`; all are sound and
 complete whenever the set chase of the input terminates.
 
 **The verdict table.**  The algorithms need only each candidate's verdict
-against the universal plan U, and many verdicts follow from others.  Under
-the three built-in strategies the backchase records every verdict in a
-table keyed by the candidate's U-body positions (candidates still come
-smallest first, and a candidate's query is built only when it is chased or
-accepted) and settles a candidate without chasing it by four exact rules,
-tried in the order 2, 1, 4:
+against the universal plan U, and many verdicts follow from others.  The
+backchase records every verdict in a table keyed by the candidate's U-body
+positions (candidates still come smallest first, and a candidate's query is
+built only when it is chased or accepted) and settles a candidate without
+chasing it by four exact rules, tried in the order 2, 1, 4:
 
-1. *refutation* (every semantics): each built-in test needs every predicate
+1. *refutation* (every semantics): each semantics' test needs every predicate
    of U in the chased candidate, a tgd adds its conclusion predicates only
    once its premise predicates are present, and egds add none; so if Σ's
    tgds cannot reach every predicate of U from the candidate's predicates,
@@ -34,9 +33,9 @@ tried in the order 2, 1, 4:
    accepted candidate S′ is accepted, since U ⊑ S ⊑ S′ ≡Σ U;
 3. *minimality from the table*: a Σ-minimality probe whose shortened query
    is a sub-multiset of U's body (always the case under the identity
-   substitution) gets that candidate's verdict, since each built-in test is
-   an equivalence relation and the probed reformulation is equivalent to U.
-   Only the other probes call :meth:`Session.decide`;
+   substitution) gets that candidate's verdict, since each semantics' test
+   is an equivalence relation and the probed reformulation is equivalent to
+   U.  Only the other probes call :meth:`Session.decide`;
 4. *re-derivation* (every semantics): a candidate from which U can be
    rebuilt, inside U, by chase steps sound for the semantics is accepted.
    Starting from T := S, a *guided step* uses a tgd σ of the compiled,
@@ -68,20 +67,20 @@ tried in the order 2, 1, 4:
 
 The possible guided steps are computed once per C&B call as bitmasks over
 U's positions, so rule 4 costs a candidate one bitmask closure: no query,
-no chase key, no chase, no equivalence test.  A third-party strategy's
-test need not have the properties the rules rely on, so its C&B chases
-every candidate.  The rules change no output; the one observable
-difference is that a candidate settled by a rule is never chased, so it can
-no longer raise from its own chase (e.g. by exhausting its step budget),
-and its chase lands in neither the chase cache nor an attached store.
+no chase key, no chase, no equivalence test.  The rules change no output;
+the one observable difference is that a candidate settled by a rule is
+never chased, so it can no longer raise from its own chase (e.g. by
+exhausting its step budget), and its chase lands in neither the chase cache
+nor an attached store.
 ``ReformulationResult.candidates_chased`` counts the candidates that were
-chased.
+chased.  :mod:`repro.reformulation.reference` is the C&B without the table,
+which chases every candidate; the differential tests compare the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, cast
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from ..core import homomorphism
 from ..core.atoms import Atom
@@ -93,7 +92,7 @@ from ..semantics import Semantics
 from ..chase.plans import AssignmentFixingRule, PlanCache, TGDPlan
 from ..chase.set_chase import DEFAULT_MAX_STEPS, ChaseResult
 from ..chase.sound_chase import sound_chase
-from ..session.strategies import BUILTIN_STRATEGIES
+from ..session import strategies
 from .candidates import iter_subqueries, iter_subquery_positions, subquery_at
 from .minimality import is_sigma_minimal
 
@@ -106,10 +105,7 @@ class ReformulationResult:
     """Output of a C&B run."""
 
     query: ConjunctiveQuery
-    #: The :class:`~repro.semantics.Semantics` member for the paper's three
-    #: semantics; results produced through a third-party strategy carry that
-    #: strategy's token (its name string) instead.
-    semantics: Semantics | str
+    semantics: Semantics
     universal_plan: ConjunctiveQuery
     reformulations: list[ConjunctiveQuery] = field(default_factory=list)
     minimal_reformulations: list[ConjunctiveQuery] = field(default_factory=list)
@@ -157,13 +153,12 @@ def chase_and_backchase(
     the Definition 3.1 Σ-minimality filter is applied to produce
     ``minimal_reformulations`` (the full list of equivalent reformulations is
     always reported).  ``engine`` is an optional
-    :class:`~repro.session.Session`: semantics dispatch goes through its
-    registry and every chase — the universal plan, each backchase candidate,
-    and the Σ-minimality probes — is served from its chase cache.  Without
-    one, an ephemeral Session over *dependencies* is built, so direct
-    functional callers get the same candidate-chase caching within the call.
-    Under a built-in strategy, candidates and probes the verdict table
-    settles (see the module docstring) are not chased at all.
+    :class:`~repro.session.Session`: every chase — the universal plan, each
+    backchase candidate, and the Σ-minimality probes — is served from its
+    chase cache.  Without one, an ephemeral Session over *dependencies* is
+    built, so direct functional callers get the same candidate-chase caching
+    within the call.  Candidates and probes the verdict table settles (see
+    the module docstring) are not chased at all.
     """
     sigma = DependencySet.coerce(dependencies)
 
@@ -188,25 +183,17 @@ def chase_and_backchase(
             )
     session = engine
 
-    strategy = session.strategy_for(semantics)
-    # Built-in strategies stamp the Semantics member, third-party ones their
-    # name string (SemanticsStrategy.token's contract); the cast records that.
-    semantics_label = cast("Semantics | str", strategy.token)
-    chase: Callable[[ConjunctiveQuery], ChaseResult] = lambda q: session.chase(q, strategy.name, max_steps)  # noqa: E731
-    equivalence_test: Callable[[ConjunctiveQuery, ConjunctiveQuery], bool] = lambda q1, q2: strategy.equivalent_chased(q1, q2, sigma)  # noqa: E731
+    semantics = strategies.resolve(semantics)
+    chase: Callable[[ConjunctiveQuery], ChaseResult] = lambda q: session.chase(q, semantics, max_steps)  # noqa: E731
 
     chase_result = chase(query)
     universal_plan = chase_result.query
-    table = (
-        _VerdictTable(universal_plan, sigma, semantics_label, session.plan_cache)
-        if type(strategy) in BUILTIN_STRATEGIES
-        else None
-    )
+    table = _VerdictTable(universal_plan, sigma, semantics, session.plan_cache)
 
     def minimality_equivalent(shortened: ConjunctiveQuery, original: ConjunctiveQuery) -> bool:
-        verdict = None if table is None else table.lookup(shortened)
+        verdict = table.lookup(shortened)
         if verdict is None:
-            verdict = bool(session.decide(shortened, original, strategy.name, max_steps))
+            verdict = bool(session.decide(shortened, original, semantics, max_steps))
         return verdict
 
     reformulations: list[ConjunctiveQuery] = []
@@ -214,15 +201,16 @@ def chase_and_backchase(
     examined = chased = 0
     for positions in iter_subquery_positions(universal_plan, max_size=max_candidate_size):
         examined += 1
-        verdict = None if table is None else table.settle(positions)
+        verdict = table.settle(positions)
         if verdict is False:
             continue
         candidate = subquery_at(universal_plan, positions)
         if verdict is None:
             chased += 1
-            verdict = equivalence_test(chase(candidate).query, universal_plan)
-            if table is not None:
-                table.record(positions, verdict)
+            verdict = strategies.equivalent_chased(
+                chase(candidate).query, universal_plan, sigma, semantics
+            )
+            table.record(positions, verdict)
         if verdict and distinct.add_if_new(candidate):
             reformulations.append(candidate)
 
@@ -233,7 +221,7 @@ def chase_and_backchase(
             if is_sigma_minimal(
                 candidate,
                 sigma,
-                semantics_label,
+                semantics,
                 max_steps,
                 equivalent_fn=minimality_equivalent,
             )
@@ -254,7 +242,7 @@ def chase_and_backchase(
 
     return ReformulationResult(
         query=query,
-        semantics=semantics_label,
+        semantics=semantics,
         universal_plan=universal_plan,
         reformulations=reformulations,
         minimal_reformulations=minimal,
@@ -287,8 +275,7 @@ class _VerdictTable:
     held as bitmasks: the upward-closure test is one ``&`` per accepted
     candidate, a minimality lookup one dict probe per atom, and a
     re-derivation one closure over the guided steps, which are computed on
-    first use, once per table.  Only the built-in strategies get a table:
-    the proofs rely on their equivalence tests.
+    first use, once per table.
     """
 
     __slots__ = (
@@ -310,7 +297,7 @@ class _VerdictTable:
         self,
         universal_plan: ConjunctiveQuery,
         sigma: DependencySet,
-        semantics: Semantics | str,
+        semantics: Semantics,
         plan_cache: PlanCache,
     ):
         body = universal_plan.body

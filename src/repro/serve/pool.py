@@ -18,6 +18,10 @@ matter which backend served it.
 
 The process pool's design points:
 
+* **One engine everywhere.**  Each worker rebuilds its Session from the
+  picklable :class:`WorkerSpec` (Σ, step budget, default semantics, precheck
+  mode); nothing else the acceptor's Session holds changes an answer, so
+  every worker answers a request as the acceptor's Session would.
 * **Warm starts.**  Each worker attaches the parent's shared-memory intern
   snapshot (:class:`~repro.core.terms.SharedInternSnapshot` — serialized
   once, attached by every spawn and respawn) and opens its own handle on
@@ -55,10 +59,10 @@ from typing import Any, Hashable, Protocol
 
 from ..core.terms import SharedInternSnapshot, export_interned_terms, pin_interned_terms
 from ..dependencies.base import DependencySet
-from ..exceptions import ReproError, SemanticsError
+from ..exceptions import ReproError
+from ..semantics import Semantics
 from ..session import Session
 from ..session.engine import merge_stats
-from ..session.strategies import BUILTIN_STRATEGIES
 from .ops import error_payload_for, execute_op
 from .protocol import ERROR_CODES, ProtocolError
 
@@ -164,7 +168,7 @@ class WorkerSpec:
 
     dependencies: DependencySet
     max_steps: int
-    default_semantics: Any
+    default_semantics: Semantics
     precheck: str | None = None
     store_path: str | None = None
     shm_name: str | None = None
@@ -290,23 +294,6 @@ class _Worker:
     def busy(self) -> bool:
         """Is an engine op (anything but a stats probe) outstanding?"""
         return any(op != "stats" for op, _ in self.outstanding.values())
-
-
-def require_builtin_semantics(session: Session) -> None:
-    """Refuse the process backend when the registry holds custom strategies.
-
-    Worker processes rebuild Sessions with the default registry, so a custom
-    strategy object registered on the acceptor's session would silently run
-    different code in the workers — the same contract as
-    ``decide_many(..., concurrency=N)``.
-    """
-    for name in session.semantics_names():
-        if type(session.registry.resolve(name)) not in BUILTIN_STRATEGIES:
-            raise SemanticsError(
-                f"semantics {name!r} is bound to a custom strategy; "
-                "custom strategies cannot be shipped to engine worker "
-                "processes — run with --workers 1"
-            )
 
 
 class ProcessEngineBackend:

@@ -40,7 +40,7 @@ import threading
 import time
 from typing import Any
 
-from ..session import Session
+from ..session import Session, strategies
 from ..session.engine import ChaseResultStore
 from .ops import error_payload_for, execute_op  # noqa: F401  (execute_op re-exported)
 from .pool import (
@@ -48,7 +48,6 @@ from .pool import (
     RemoteEngineError,
     ThreadEngineBackend,
     WorkerSpec,
-    require_builtin_semantics,
 )
 from .protocol import (
     DEFAULT_TIMEOUT,
@@ -109,13 +108,10 @@ class ReproServer:
                 ThreadEngineBackend(session)
             )
         else:
-            # The engine processes rebuild their Sessions from the spec, so
-            # only built-in semantics can serve (same contract as
-            # decide_many concurrency).  The store is deliberately NOT
-            # attached to the acceptor session: the parent never chases —
-            # each worker opens its own handle on the store path and warms
-            # from disk at spawn and respawn.
-            require_builtin_semantics(session)
+            # The engine processes rebuild their Sessions from the spec.  The
+            # store is deliberately NOT attached to the acceptor session: the
+            # parent never chases — each worker opens its own handle on the
+            # store path and warms from disk at spawn and respawn.
             store_obj = store if store is not None else session.store
             store_path = getattr(store_obj, "path", None)
             sigma = session.dependencies
@@ -158,7 +154,7 @@ class ReproServer:
     def _handle_health(self, params: dict[str, Any]) -> dict[str, Any]:
         return {
             "status": "ok",
-            "semantics": list(self.session.semantics_names()),
+            "semantics": list(strategies.NAMES),
             "dependencies": self.backend.dependency_count,
             "store": self.store is not None,
             "backend": self.backend.kind,

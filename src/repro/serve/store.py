@@ -14,10 +14,10 @@ Design notes:
 * **Keys are digests, not pickles.**  A ``ChaseKey`` already canonicalizes
   everything that determines a chase result — the query's structural key
   (alpha-variants collide on purpose), Σ's name-insensitive fingerprint, the
-  strategy's name + cache token, and the step budget.  The store walks that
-  structure and hashes a canonical JSON encoding of it (terms tagged by
-  kind, sets sorted), so the digest is stable across processes, Python
-  versions, and hash-seed randomization — none of which is true of
+  semantics' frozen (name, class path) pair, and the step budget.  The store
+  walks that structure and hashes a canonical JSON encoding of it (terms
+  tagged by kind, sets sorted), so the digest is stable across processes,
+  Python versions, and hash-seed randomization — none of which is true of
   ``hash()``.
 * **Values are re-parseable text, not pickles.**  The stored value is the
   terminal query in the library's own rule notation (plus the semantics
@@ -26,7 +26,8 @@ Design notes:
   interpreter internals, and a hostile store file can at worst fail to
   parse — it cannot execute anything.
 * **Corruption degrades to cold, never to wrong.**  Each line is
-  self-contained; unreadable or version-mismatched lines are counted and
+  self-contained; unreadable or version-mismatched lines, and lines whose
+  semantics is not ``set``, ``bag`` or ``bag-set``, are counted and
   skipped at load, and a completely unparseable file simply yields an empty
   store.  A digest collision would require breaking SHA-256.
 * **Restored results carry no step trace or profile** (``steps=[]``,
@@ -67,6 +68,7 @@ from ..datalog.parser import parse_query
 from ..datalog.render import render_query
 from ..exceptions import ReproError
 from ..semantics import Semantics
+from ..session import strategies
 from ..session.cache import ChaseKey
 
 #: Bumped when the digest encoding or record layout changes incompatibly;
@@ -147,9 +149,12 @@ def key_digest(key: ChaseKey) -> str:
 # Result (de)serialization
 # --------------------------------------------------------------------------- #
 def _held_record(result: ChaseResult) -> _Held:
-    semantics = result.semantics
-    name = semantics.value if isinstance(semantics, Semantics) else str(semantics)
-    return (render_query(result.query), name, bool(result.terminated), result.step_count)
+    return (
+        render_query(result.query),
+        result.semantics.value,
+        bool(result.terminated),
+        result.step_count,
+    )
 
 
 def _line_of(digest: str, held: _Held) -> str:
@@ -173,13 +178,13 @@ def _held_from_line(line: str) -> tuple[str, _Held]:
         or record.get("v") != STORE_VERSION
         or not isinstance(record.get("k"), str)
         or not isinstance(record.get("query"), str)
-        or not isinstance(record.get("semantics", ""), str)
+        or record.get("semantics") not in strategies.NAMES
         or not isinstance(record.get("steps", 0), int)
     ):
         raise ValueError("malformed store record")
     held = (
         record["query"],
-        record.get("semantics", ""),
+        record["semantics"],
         bool(record.get("terminated", True)),
         record.get("steps", 0),
     )
@@ -190,15 +195,10 @@ def _held_from_line(line: str) -> tuple[str, _Held]:
 def _result_from_record(held: _Held) -> ChaseResult:
     """The result a held record restores to; a parse failure is not cached."""
     query, name, terminated, _ = held
-    semantics: Any
-    try:
-        semantics = Semantics.from_name(name)
-    except ValueError:
-        semantics = name
     return ChaseResult(
         query=parse_query(query),
         steps=[],
-        semantics=semantics,
+        semantics=Semantics(name),
         terminated=terminated,
         profile=None,
     )

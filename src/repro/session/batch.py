@@ -10,9 +10,7 @@ Sequentially, items share the calling session's chase cache — a workload
 whose pairs overlap chases each distinct (query, semantics) once.  With
 ``concurrency=N`` the items are fanned out over N worker processes, each
 owning its own session (and cache) initialized once per process; results
-stream back in input order.  Multiprocessing is only available for the
-built-in semantics — a third-party strategy object lives in the parent
-process and is not shipped across the fork.
+stream back in input order.
 """
 
 from __future__ import annotations
@@ -23,9 +21,6 @@ from typing import Any, Hashable, Iterable, Iterator, Sequence
 from ..core.aggregate import AggregateQuery
 from ..core.query import ConjunctiveQuery
 from ..dependencies.base import DependencySet
-from ..exceptions import SemanticsError
-from .registry import normalize_semantics_name
-from .strategies import BUILTIN_STRATEGIES
 
 _CHUNKSIZE = 8
 
@@ -142,34 +137,21 @@ def _init_worker(
 
 
 def _decide_worker(payload):
-    index, q1, q2, semantics_name, max_steps = payload
+    index, q1, q2, semantics, max_steps = payload
     try:
-        verdict = _WORKER_SESSION.decide(q1, q2, semantics_name, max_steps)
+        verdict = _WORKER_SESSION.decide(q1, q2, semantics, max_steps)
         return index, verdict, None, None
     except Exception as exc:  # per-item capture: one bad pair must not sink the batch
         return index, None, str(exc), type(exc).__name__
 
 
 def _reformulate_worker(payload):
-    index, query, semantics_name, max_steps, kwargs = payload
+    index, query, semantics, max_steps, kwargs = payload
     try:
-        result = _WORKER_SESSION.reformulate(query, semantics_name, max_steps, **kwargs)
+        result = _WORKER_SESSION.reformulate(query, semantics, max_steps, **kwargs)
         return index, result, None, None
     except Exception as exc:
         return index, None, str(exc), type(exc).__name__
-
-
-def _require_builtin_for_concurrency(strategy) -> None:
-    # Exact type check: worker processes rebuild Sessions with the default
-    # registry, so anything but a stock built-in strategy instance — a custom
-    # strategy, or a subclass shadowing a built-in name — would silently run
-    # different code in the workers than in this process.
-    if type(strategy) not in BUILTIN_STRATEGIES:
-        raise SemanticsError(
-            f"strategy {strategy!r} is a custom semantics strategy; "
-            "custom strategies cannot be shipped to worker processes — "
-            "run the batch without concurrency"
-        )
 
 
 def _run_pool(session, worker, payloads, concurrency: int):
@@ -197,24 +179,22 @@ def _execute_batch(
 ) -> BatchReport:
     """Shared pipeline: run every item, in-process or fanned out, into a report.
 
-    ``make_payload(index, item, semantics_name, steps)`` builds the picklable
-    worker payload; ``call_in_process(item, semantics_name, steps)`` is the
+    ``make_payload(index, item, semantics, steps)`` builds the picklable
+    worker payload; ``call_in_process(item, semantics, steps)`` is the
     sequential path (sharing the calling session's cache).
     """
-    strategy = session.strategy_for(semantics)
-    semantics_name = normalize_semantics_name(strategy.name)
+    semantics = session._semantics(semantics)
     steps = session.max_steps if max_steps is None else max_steps
-    report = BatchReport(kind=kind, semantics=strategy.token)
+    report = BatchReport(kind=kind, semantics=semantics)
 
     if concurrency is not None and concurrency > 1 and len(items) > 1:
-        _require_builtin_for_concurrency(strategy)
         # Payload construction gets the same per-item capture as execution:
         # one malformed input must not sink the rest of the batch.
         payloads = []
         failed: dict[int, tuple[str, str]] = {}
         for index, item in enumerate(items):
             try:
-                payloads.append(make_payload(index, item, semantics_name, steps))
+                payloads.append(make_payload(index, item, semantics, steps))
             except Exception as exc:
                 failed[index] = (str(exc), type(exc).__name__)
         outcomes: dict[int, tuple] = {
@@ -232,7 +212,7 @@ def _execute_batch(
 
     for index, item in enumerate(items):
         try:
-            result, error, error_type = call_in_process(item, semantics_name, steps), None, None
+            result, error, error_type = call_in_process(item, semantics, steps), None, None
         except Exception as exc:
             result, error, error_type = None, str(exc), type(exc).__name__
         report.items.append(BatchItem(index, item, result, error, error_type))
@@ -256,9 +236,13 @@ def decide_many(
         max_steps,
         concurrency,
         list(pairs),
-        make_payload=lambda index, pair, name, steps: (index, pair[0], pair[1], name, steps),
+        make_payload=lambda index, pair, semantics, steps: (
+            index, pair[0], pair[1], semantics, steps
+        ),
         worker=_decide_worker,
-        call_in_process=lambda pair, name, steps: session.decide(pair[0], pair[1], name, steps),
+        call_in_process=lambda pair, semantics, steps: session.decide(
+            pair[0], pair[1], semantics, steps
+        ),
     )
 
 
@@ -280,10 +264,10 @@ def reformulate_many(
     """
     explicit = semantics is not None
 
-    def _semantics_for(query, resolved_name):
+    def _semantics_for(query, resolved):
         if isinstance(query, AggregateQuery) and not explicit:
             return None
-        return resolved_name
+        return resolved
 
     return _execute_batch(
         session,
@@ -292,11 +276,11 @@ def reformulate_many(
         max_steps,
         concurrency,
         list(queries),
-        make_payload=lambda index, query, name, steps: (
-            index, query, _semantics_for(query, name), steps, kwargs
+        make_payload=lambda index, query, semantics, steps: (
+            index, query, _semantics_for(query, semantics), steps, kwargs
         ),
         worker=_reformulate_worker,
-        call_in_process=lambda query, name, steps: session.reformulate(
-            query, _semantics_for(query, name), steps, **kwargs
+        call_in_process=lambda query, semantics, steps: session.reformulate(
+            query, _semantics_for(query, semantics), steps, **kwargs
         ),
     )

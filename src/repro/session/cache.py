@@ -102,8 +102,7 @@ def chase_cache_key(
     """The canonical cache key of one chase invocation.
 
     ``semantics`` is any hashable semantics discriminator — the Session
-    passes a (name, strategy-class) pair so a cache shared across sessions
-    never conflates two strategies bound to the same name.  ``sigma_key``
+    passes a frozen (name, class path) pair per semantics.  ``sigma_key``
     lets callers that already hold ``sigma_fingerprint(Σ)`` (the Session
     memoizes it per Σ) skip recomputing it.  The Session additionally
     memoizes the returned :class:`ChaseKey` per live query object, so on a

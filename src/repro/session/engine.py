@@ -4,10 +4,9 @@ A Session binds a dependency set Σ (and optionally a schema) once and then
 answers every question the library can ask — chase, equivalence, C&B
 reformulation — through three shared components:
 
-* a :class:`~repro.session.registry.SemanticsRegistry` dispatching each
-  semantics name to the strategy bundling its sound chase, equivalence test,
-  and C&B variant (third parties register new semantics without touching
-  core modules);
+* dispatch on the paper's three semantics (:mod:`repro.session.strategies`:
+  each one's sound chase and equivalence test; its C&B variant in
+  :mod:`repro.reformulation.cb`);
 * a :class:`~repro.session.cache.ChaseCache` of terminal chase results keyed
   by canonicalized (query, Σ, semantics, max_steps), so repeated decisions
   over a workload skip the dominant chase cost entirely;
@@ -51,6 +50,7 @@ from ..dependencies.base import Dependency, DependencySet
 from ..equivalence.decision import EquivalenceVerdict
 from ..semantics import Semantics
 from ..exceptions import DeltaRejectedError, DependencyError, SchemaError, SemanticsError
+from . import strategies
 from .cache import (
     MISSING,
     CacheStats,
@@ -60,8 +60,6 @@ from .cache import (
     chase_cache_key,
     sigma_fingerprint,
 )
-from .registry import SemanticsRegistry, default_registry, normalize_semantics_name
-from .strategies import SemanticsStrategy
 
 
 #: Bound on the checkpoints a Session keeps for :meth:`Session.apply_delta`.
@@ -72,6 +70,14 @@ from .strategies import SemanticsStrategy
 #: grow to the chase cache's size.  Deltas resume from recent chases; an
 #: evicted checkpoint only costs a cold chase.
 CHECKPOINT_CACHE_SIZE = 256
+
+#: The semantics part of every chase key.  Store digests hash these bytes,
+#: so changing a pair orphans every chase store already written.
+_KEY_PART: dict[Semantics, tuple[str, str]] = {
+    Semantics.SET: ("set", "repro.session.strategies.SetStrategy"),
+    Semantics.BAG: ("bag", "repro.session.strategies.BagStrategy"),
+    Semantics.BAG_SET: ("bag-set", "repro.session.strategies.BagSetStrategy"),
+}
 
 
 class ChaseResultStore(Protocol):
@@ -115,12 +121,16 @@ class _SessionDependencySet(DependencySet):
 
 
 class Session:
-    """A long-lived engine instance owning registries, caches, and pipelines.
+    """A long-lived engine instance owning caches and pipelines.
 
     ``dependencies`` may be a :class:`DependencySet` or a plain sequence of
     dependencies; ``schema`` is optional, and when it marks relations as set
     valued those markers are folded into Σ (they drive the Theorem 4.1 / 4.2
     soundness conditions under bag semantics).
+
+    ``default_semantics`` (a member, a name or an alias) is the semantics of
+    every call that names none; it is resolved here, so an unknown name
+    raises :class:`~repro.exceptions.UnknownSemanticsError` at once.
 
     ``cache_size`` bounds the chase-result cache and the per-query key memo
     that shares its policy.  The checkpoints kept for :meth:`apply_delta`
@@ -132,7 +142,6 @@ class Session:
         schema=None,
         dependencies: DependencySet | Sequence[Dependency] = (),
         *,
-        registry: SemanticsRegistry | None = None,
         cache: ChaseCache | None = None,
         cache_size: int = 4096,
         plan_cache: PlanCache | None = None,
@@ -151,14 +160,12 @@ class Session:
                 "pass the dependency set as Session(dependencies=...)"
             )
         self.schema = schema
-        self.registry = registry if registry is not None else default_registry()
         self.cache = cache if cache is not None else ChaseCache(cache_size)
         # Compiled per-Σ match plans; by default the process-wide cache, so
         # sessions over the same Σ (and the module-level chase functions)
-        # share compilations.  Threaded into every chase this session runs
-        # via SemanticsStrategy.chase_with_plans.
+        # share compilations.  Threaded into every chase this session runs.
         self.plan_cache = plan_cache if plan_cache is not None else default_plan_cache()
-        self.default_semantics = default_semantics
+        self.default_semantics = strategies.resolve(default_semantics)
         self.max_steps = max_steps
         # Optional persistent second-level store (see ChaseResultStore):
         # consulted on every in-memory miss, written through on every cold
@@ -193,8 +200,8 @@ class Session:
         # the work they saved is exactly what the aggregate measures).
         self._profile = ChaseProfile(runs=0)
         # Incremental chase state.  With ``chase_resumable`` every cold chase
-        # of a built-in semantics also captures a ChaseCheckpoint; apply_delta
-        # always captures one for the post-delta state.  Checkpoints are
+        # also captures a ChaseCheckpoint; apply_delta always captures one
+        # for the post-delta state.  Checkpoints are
         # keyed *without* Σ or the step budget (a checkpoint carries its own
         # Σ and budget and is caught up to the session's Σ at resume time),
         # and deliberately kept in a cache separate from the chase-result
@@ -221,9 +228,6 @@ class Session:
         self._batch_pool_key: tuple[int, int, object] | None = None
         self._batch_shm: Any = None
         self._batch_pools_created = 0
-        # Any registration that shadows an existing semantics name — through
-        # this object or the registry directly — must drop cached chases.
-        self.registry.on_shadow(self.cache.invalidate)
 
     # ------------------------------------------------------------------ #
     # Dependencies: Σ is session state; changing it invalidates the cache.
@@ -293,52 +297,27 @@ class Session:
         """The termination certificate of Σ (precheck modes only), or None."""
         return self._certificate
 
-    # ------------------------------------------------------------------ #
-    # Registry surface
-    # ------------------------------------------------------------------ #
-    def register_semantics(
-        self, strategy: SemanticsStrategy, *, replace: bool = False
-    ) -> SemanticsStrategy:
-        """Register a third-party semantics strategy on this session.
-
-        Replacing a strategy whose name (or alias) is already registered
-        invalidates the chase cache (via the registry's shadow listener):
-        cache keys carry only the semantics name, so results chased by the
-        replaced strategy must not be served as the new strategy's.
-        """
-        return self.registry.register(strategy, replace=replace)
-
-    def strategy_for(self, semantics: object | None = None) -> SemanticsStrategy:
-        """Resolve *semantics* (default: the session default) to its strategy."""
+    def _semantics(self, semantics: object | None) -> Semantics:
+        """Resolve *semantics*, or the session default when it is None."""
         if semantics is None:
-            semantics = self.default_semantics
-        return self.registry.resolve(semantics)
-
-    def semantics_names(self) -> tuple[str, ...]:
-        """Canonical names of the semantics this session can dispatch on."""
-        return self.registry.names()
+            return self.default_semantics
+        return strategies.resolve(semantics)
 
     # ------------------------------------------------------------------ #
     # Chase (cached)
     # ------------------------------------------------------------------ #
-    def _chase_key(self, query: ConjunctiveQuery, strategy: SemanticsStrategy, max_steps: int):
+    def _chase_key(self, query: ConjunctiveQuery, semantics: Semantics, max_steps: int):
         # Σ's fingerprint only changes via set_dependencies (which resets it),
-        # so it is computed once per Σ rather than on every lookup.  The key
-        # carries the strategy's cache token besides its name: a cache shared
-        # between sessions whose registries bind the same name to different
-        # strategies (or differently-configured instances) must not serve
-        # one strategy's chases as the other's.  Assembled keys are memoized
-        # per live query object (keyed by strategy and budget), so a repeat
-        # lookup reuses the hash-cached ChaseKey without rebuilding anything.
-        strategy_key = (
-            normalize_semantics_name(strategy.name),
-            strategy.cache_token(),
-        )
+        # so it is computed once per Σ rather than on every lookup.  Assembled
+        # keys are memoized per live query object (keyed by semantics and
+        # budget), so a repeat lookup reuses the hash-cached ChaseKey without
+        # rebuilding anything.
+        key_part = _KEY_PART[semantics]
         per_query = self._key_memo.get(query)
         if per_query is None:
             per_query = {}
             self._key_memo.put(query, per_query)
-        memo_key = (strategy_key, max_steps)
+        memo_key = (key_part, max_steps)
         key = per_query.get(memo_key)
         if key is not None:
             self._profile.cache_keys_reused += 1
@@ -347,7 +326,7 @@ class Session:
         if self._sigma_key is None:
             self._sigma_key = sigma_fingerprint(self._dependencies)
         key = chase_cache_key(
-            query, self._dependencies, strategy_key, max_steps,
+            query, self._dependencies, key_part, max_steps,
             sigma_key=self._sigma_key,
         )
         per_query[memo_key] = key
@@ -370,7 +349,7 @@ class Session:
         loose but sufficient by construction, and the chase stops at its
         terminal result long before).
         """
-        strategy = self.strategy_for(semantics)
+        semantics = self._semantics(semantics)
         if max_steps is None:
             if self._certificate is not None:
                 steps = self._certificate.step_budget_for(query)
@@ -378,7 +357,7 @@ class Session:
                 steps = self.max_steps
         else:
             steps = max_steps
-        key = self._chase_key(query, strategy, steps)
+        key = self._chase_key(query, semantics, steps)
         cached = self.cache.get(key)
         if cached is not MISSING:
             return cached
@@ -390,20 +369,19 @@ class Session:
                 # no chase work, exactly like a memory hit.
                 self.cache.put(key, stored)
                 return stored
-        semantics_token = getattr(strategy, "semantics", None)
-        if self.chase_resumable and semantics_token is not None:
+        if self.chase_resumable:
             result, checkpoint = chase_with_checkpoint(
-                query, self._dependencies, semantics_token, steps,
+                query, self._dependencies, semantics, steps,
                 plan_cache=self.plan_cache,
             )
-            self._checkpoints.put(self._checkpoint_key(query, strategy), checkpoint)
+            self._checkpoints.put(self._checkpoint_key(query, semantics), checkpoint)
             self._incremental["cold_runs"] += 1
             self._incremental["steps_executed"] += result.step_count
         else:
-            result = strategy.chase_with_plans(
-                query, self._dependencies, steps, self.plan_cache
+            result = strategies.chase(
+                query, self._dependencies, semantics, steps, self.plan_cache
             )
-        profile = getattr(result, "profile", None)
+        profile = result.profile
         if profile is not None:
             self._profile.merge(profile)
         self.cache.put(key, result)
@@ -430,17 +408,11 @@ class Session:
         Only bag and bag-set semantics have a nontrivial subset (under set
         semantics every step is sound, so Σ^max = Σ).
         """
-        strategy = self.strategy_for(semantics)
-        semantics_token = getattr(strategy, "semantics", None)
-        if semantics_token is None:
-            raise SemanticsError(
-                f"strategy {strategy.name!r} does not expose a core semantics "
-                "token; sigma_subset requires one of set / bag / bag-set"
-            )
+        semantics = self._semantics(semantics)
         steps = max_steps if max_steps is not None else self.max_steps
         chased = self.chase(query, semantics, max_steps=steps)
         result = scan_sigma_subset(
-            chased, self._dependencies, semantics_token, steps, self.plan_cache
+            chased, self._dependencies, semantics, steps, self.plan_cache
         )
         if result.scan_profile is not None:
             self._profile.merge(result.scan_profile)
@@ -449,17 +421,11 @@ class Session:
     # ------------------------------------------------------------------ #
     # Incremental chase
     # ------------------------------------------------------------------ #
-    def _checkpoint_key(
-        self, query: ConjunctiveQuery, strategy: SemanticsStrategy
-    ) -> ChaseKey:
+    def _checkpoint_key(self, query: ConjunctiveQuery, semantics: Semantics) -> ChaseKey:
         # No Σ fingerprint and no step budget, unlike _chase_key: a
         # checkpoint records its own Σ and budget, and the whole point of
         # keeping it across set_dependencies is resuming after Σ grows.
-        strategy_key = (
-            normalize_semantics_name(strategy.name),
-            strategy.cache_token(),
-        )
-        return ChaseKey((query.structural_key(), strategy_key))
+        return ChaseKey((query.structural_key(), _KEY_PART[semantics]))
 
     def checkpoint_for(
         self, query: ConjunctiveQuery, semantics: object | None = None
@@ -470,8 +436,9 @@ class Session:
         advanced through :meth:`apply_delta`; they may have been taken under
         an earlier (prefix) Σ than the session's current one.
         """
-        strategy = self.strategy_for(semantics)
-        checkpoint = self._checkpoints.get(self._checkpoint_key(query, strategy))
+        checkpoint = self._checkpoints.get(
+            self._checkpoint_key(query, self._semantics(semantics))
+        )
         return None if checkpoint is MISSING else checkpoint
 
     def apply_delta(
@@ -501,7 +468,7 @@ class Session:
         Raises :class:`~repro.exceptions.DeltaRejectedError` for structurally
         invalid deltas, with the session state untouched.
         """
-        strategy = self.strategy_for(semantics)
+        semantics = self._semantics(semantics)
         try:
             validate_delta(query, self._dependencies, delta)
         except DeltaRejectedError:
@@ -518,7 +485,6 @@ class Session:
             # May raise PrecheckFailedError under a strict precheck; nothing
             # has been chased or cached yet, so the session stays consistent.
             self.set_dependencies(new_sigma)
-        semantics_token = getattr(strategy, "semantics", None)
         if max_steps is None:
             if self._certificate is not None:
                 steps = self._certificate.step_budget_for(new_query)
@@ -527,21 +493,9 @@ class Session:
         else:
             steps = max_steps
 
-        outcome: ResumeOutcome | None = None
-        if semantics_token is None:
-            result = strategy.chase_with_plans(
-                new_query, self._dependencies, steps, self.plan_cache
-            )
-            outcome = ResumeOutcome(
-                result=result,
-                checkpoint=None,
-                resumed=False,
-                fallback_reason="unsupported-strategy",
-                replayed_steps=0,
-                new_steps=result.step_count,
-            )
-        elif delta.is_monotone:
-            checkpoint = self._checkpoints.get(self._checkpoint_key(query, strategy))
+        outcome: ResumeOutcome
+        if delta.is_monotone:
+            checkpoint = self._checkpoints.get(self._checkpoint_key(query, semantics))
             if checkpoint is not MISSING:
                 catchup = sigma_extension_suffix(checkpoint.sigma, previous_sigma)
                 if catchup is not None:
@@ -557,15 +511,15 @@ class Session:
                     )
                 else:
                     outcome = self._cold_outcome(
-                        new_query, semantics_token, steps, "sigma-diverged"
+                        new_query, semantics, steps, "sigma-diverged"
                     )
             else:
                 outcome = self._cold_outcome(
-                    new_query, semantics_token, steps, "no-checkpoint"
+                    new_query, semantics, steps, "no-checkpoint"
                 )
         else:
             outcome = self._cold_outcome(
-                new_query, semantics_token, steps, "non-monotone-delta"
+                new_query, semantics, steps, "non-monotone-delta"
             )
 
         counters = self._incremental
@@ -577,16 +531,16 @@ class Session:
         counters["steps_replayed"] += outcome.replayed_steps
         counters["steps_executed"] += outcome.new_steps
         counters["steps_saved"] += outcome.steps_saved
-        profile = getattr(outcome.result, "profile", None)
+        profile = outcome.result.profile
         if profile is not None:
             self._profile.merge(profile)
-        key = self._chase_key(new_query, strategy, steps)
+        key = self._chase_key(new_query, semantics, steps)
         self.cache.put(key, outcome.result)
         if self.store is not None and outcome.result.terminated:
             self.store.put(key, outcome.result)
         if outcome.checkpoint is not None:
             self._checkpoints.put(
-                self._checkpoint_key(new_query, strategy), outcome.checkpoint
+                self._checkpoint_key(new_query, semantics), outcome.checkpoint
             )
         return outcome
 
@@ -620,11 +574,13 @@ class Session:
         max_steps: int | None = None,
     ) -> EquivalenceVerdict:
         """Decide ``Q1 ≡Σ,X Q2`` for semantics X, with chases served from cache."""
-        strategy = self.strategy_for(semantics)
-        chased1 = self.chase(q1, strategy.name, max_steps).query
-        chased2 = self.chase(q2, strategy.name, max_steps).query
-        equivalent = strategy.equivalent_chased(chased1, chased2, self._dependencies)
-        return EquivalenceVerdict(equivalent, strategy.token, chased1, chased2)
+        semantics = self._semantics(semantics)
+        chased1 = self.chase(q1, semantics, max_steps).query
+        chased2 = self.chase(q2, semantics, max_steps).query
+        equivalent = strategies.equivalent_chased(
+            chased1, chased2, self._dependencies, semantics
+        )
+        return EquivalenceVerdict(equivalent, semantics, chased1, chased2)
 
     def decide_all(
         self,
@@ -658,7 +614,7 @@ class Session:
         Aggregate queries dispatch to Max-Min-C&B / Sum-Count-C&B on their
         cores (Theorem 6.3) — the semantics is determined by the aggregate
         function, so passing one explicitly is an error rather than being
-        silently ignored.  Plain CQ queries run the strategy's C&B with
+        silently ignored.  Plain CQ queries run the semantics' C&B with
         every chase — universal plan and backchase candidates — routed
         through this session's cache.
         """
@@ -676,9 +632,13 @@ class Session:
             return reformulate_aggregate_query(
                 query, self._dependencies, steps, engine=self, **kwargs
             )
-        strategy = self.strategy_for(semantics)
-        return strategy.reformulate(
-            query, self._dependencies, steps, engine=self, **kwargs
+        # Imported here: reformulation's public wrappers delegate back
+        # through Session, so a module-level import would be circular.
+        from ..reformulation.cb import chase_and_backchase
+
+        return chase_and_backchase(
+            query, self._dependencies, self._semantics(semantics), steps,
+            engine=self, **kwargs
         )
 
     # ------------------------------------------------------------------ #
@@ -911,7 +871,7 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Session({len(self._dependencies)} dependencies, "
-            f"semantics={list(self.semantics_names())}, cache={self.cache!r})"
+            f"default_semantics={self.default_semantics}, cache={self.cache!r})"
         )
 
 

@@ -1,25 +1,21 @@
-"""Semantics strategies: the pluggable unit of the Session engine.
+"""Dispatch on the paper's three semantics.
 
-A :class:`SemanticsStrategy` bundles everything the engine needs to know
-about one query-evaluation semantics:
+Each :class:`~repro.semantics.Semantics` member has
 
-* the *sound chase* for that semantics (Section 4 of the paper),
-* the *dependency-free equivalence test* applied to terminal chase results
+* one *sound chase* (Section 4 of the paper),
+* one *dependency-free equivalence test* applied to terminal chase results
   (Theorem 2.2 for set, Theorem 6.1 / 4.2 for bag, Theorem 6.2 for bag-set),
-* the *C&B variant* that reformulates queries under that semantics
-  (Appendix A / Theorem 6.4 / Theorem K.1).
+* one *C&B variant* (Appendix A / Theorem 6.4 / Theorem K.1), run by
+  :func:`repro.reformulation.cb.chase_and_backchase`.
 
-The three built-in strategies wrap the existing per-semantics machinery; a
-third party adds a new semantics by subclassing :class:`SemanticsStrategy`
-and registering an instance with a :class:`~repro.session.SemanticsRegistry`
-— no core module needs to change.
+:func:`chase` and :func:`equivalent_chased` look ``sound_chase`` and the
+three tests up in this module's globals at call time, so a wrapper set on
+this module (a tracer, a counting test) sees every call the engine makes.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Sequence
-
+from ..chase.plans import PlanCache
 from ..chase.set_chase import DEFAULT_MAX_STEPS, ChaseResult
 from ..chase.sound_chase import sound_chase
 from ..core.bag_equivalence import (
@@ -29,173 +25,49 @@ from ..core.bag_equivalence import (
 from ..core.containment import is_set_equivalent
 from ..core.query import ConjunctiveQuery
 from ..dependencies.base import DependencySet
+from ..exceptions import SemanticsError, UnknownSemanticsError
 from ..semantics import Semantics
 
-class SemanticsStrategy(abc.ABC):
-    """Everything the engine needs to decide and reformulate under one semantics.
+#: The canonical semantics names, as :class:`UnknownSemanticsError` lists them.
+NAMES = ("bag", "bag-set", "set")
 
-    ``name`` is the canonical semantics name (``"set"``, ``"bag"``, ...);
-    ``aliases`` are alternative spellings the registry should accept;
-    ``token`` is the value stamped on verdicts and chase results — the
-    :class:`~repro.semantics.Semantics` member for built-in strategies, the
-    name string for third-party ones.
-    """
 
-    #: Canonical lower-case name; must be unique within a registry.
-    name: str = ""
-    #: Alternative spellings accepted by registry lookup.
-    aliases: Sequence[str] = ()
-
-    @property
-    def token(self) -> object:
-        """The semantics marker carried by verdicts produced via this strategy."""
-        return self.name
-
-    def cache_token(self) -> object:
-        """Hashable identity of this strategy's *chase behaviour* in cache keys.
-
-        Defaults to the class path, so strategies of different classes bound
-        to the same name never share cache entries.  Override when instances
-        of the same class chase differently (e.g. carry configuration), so a
-        cache shared across sessions keeps their results apart.
-        """
-        cls = type(self)
-        return f"{cls.__module__}.{cls.__qualname__}"
-
-    @abc.abstractmethod
-    def chase(
-        self,
-        query: ConjunctiveQuery,
-        dependencies: DependencySet,
-        max_steps: int = DEFAULT_MAX_STEPS,
-    ) -> ChaseResult:
-        """Run the chase that is sound for this semantics."""
-
-    def chase_with_plans(
-        self,
-        query: ConjunctiveQuery,
-        dependencies: DependencySet,
-        max_steps: int,
-        plan_cache,
-    ) -> ChaseResult:
-        """Run :meth:`chase`, routing compiled-plan reuse through *plan_cache*.
-
-        The Session calls this hook so its plan cache serves the chase's
-        per-dependency match plans.  The default ignores the cache — a
-        third-party strategy that predates plan caching (or whose chase has
-        no notion of plans) keeps working unchanged; the built-in strategies
-        override it to thread the cache into :func:`repro.chase.sound_chase`.
-        """
-        return self.chase(query, dependencies, max_steps)
-
-    @abc.abstractmethod
-    def equivalent_chased(
-        self,
-        chased1: ConjunctiveQuery,
-        chased2: ConjunctiveQuery,
-        dependencies: DependencySet,
-    ) -> bool:
-        """The dependency-free equivalence test on terminal chase results."""
-
-    def reformulate(
-        self,
-        query: ConjunctiveQuery,
-        dependencies: DependencySet,
-        max_steps: int = DEFAULT_MAX_STEPS,
-        engine=None,
-        **kwargs,
-    ):
-        """Run this semantics' C&B variant.
-
-        ``engine`` is the calling :class:`~repro.session.Session` (if any);
-        the driver routes every chase — universal plan and backchase
-        candidates alike — through its cache.  Called without an engine, an
-        ephemeral Session is built with *this* strategy registered, so the
-        method works for third-party strategies whose names the enum-based
-        machinery cannot parse.
-        """
-        # Imported lazily: reformulation's public wrappers delegate back
-        # through Session, so a module-level import would be circular.
-        from ..reformulation.cb import chase_and_backchase
-
-        if engine is None:
-            from .engine import Session
-
-            engine = Session(dependencies=dependencies)
-            engine.registry.register(self, replace=True)
-            dependencies = engine.dependencies
-        return chase_and_backchase(
-            query, dependencies, self.token, max_steps, engine=engine, **kwargs
+def resolve(semantics: object) -> Semantics:
+    """The :class:`Semantics` member *semantics* names (a member, a name or an alias)."""
+    if isinstance(semantics, Semantics):
+        return semantics
+    if not isinstance(semantics, str):
+        raise SemanticsError(
+            f"semantics must be a Semantics member or a name, got {semantics!r}"
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-class _BuiltinStrategy(SemanticsStrategy):
-    """Shared plumbing for the paper's three semantics."""
-
-    semantics: Semantics
-
-    @property
-    def token(self) -> Semantics:
-        return self.semantics
-
-    def chase(
-        self,
-        query: ConjunctiveQuery,
-        dependencies: DependencySet,
-        max_steps: int = DEFAULT_MAX_STEPS,
-    ) -> ChaseResult:
-        return sound_chase(query, dependencies, self.semantics, max_steps)
-
-    def chase_with_plans(
-        self,
-        query: ConjunctiveQuery,
-        dependencies: DependencySet,
-        max_steps: int,
-        plan_cache,
-    ) -> ChaseResult:
-        return sound_chase(
-            query, dependencies, self.semantics, max_steps, plan_cache=plan_cache
-        )
+    try:
+        return Semantics.from_name(semantics)
+    except ValueError:
+        raise UnknownSemanticsError(semantics, NAMES) from None
 
 
-class SetStrategy(_BuiltinStrategy):
-    """Set semantics: set chase + Theorem 2.2 equivalence + classic C&B."""
+def chase(
+    query: ConjunctiveQuery,
+    dependencies: DependencySet,
+    semantics: Semantics,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    plan_cache: PlanCache | None = None,
+) -> ChaseResult:
+    """The chase that is sound for *semantics*."""
+    return sound_chase(query, dependencies, semantics, max_steps, plan_cache=plan_cache)
 
-    name = "set"
-    aliases = ("s",)
-    semantics = Semantics.SET
 
-    def equivalent_chased(self, chased1, chased2, dependencies) -> bool:
+def equivalent_chased(
+    chased1: ConjunctiveQuery,
+    chased2: ConjunctiveQuery,
+    dependencies: DependencySet,
+    semantics: Semantics,
+) -> bool:
+    """The dependency-free equivalence test of *semantics* on terminal chase results."""
+    if semantics is Semantics.SET:
         return is_set_equivalent(chased1, chased2)
-
-
-class BagStrategy(_BuiltinStrategy):
-    """Bag semantics: sound bag chase + Theorem 6.1 / 4.2 test + Bag-C&B."""
-
-    name = "bag"
-    aliases = ("b",)
-    semantics = Semantics.BAG
-
-    def equivalent_chased(self, chased1, chased2, dependencies) -> bool:
+    if semantics is Semantics.BAG:
         return is_bag_equivalent_with_set_enforced(
             chased1, chased2, dependencies.set_valued_predicates
         )
-
-
-class BagSetStrategy(_BuiltinStrategy):
-    """Bag-set semantics: sound bag-set chase + Theorem 6.2 test + Bag-Set-C&B."""
-
-    name = "bag-set"
-    aliases = ("bagset", "bag_set", "bs")
-    semantics = Semantics.BAG_SET
-
-    def equivalent_chased(self, chased1, chased2, dependencies) -> bool:
-        return is_bag_set_equivalent(chased1, chased2)
-
-
-#: Constructors for the built-in strategies, in Proposition 6.1 order
-#: (bag ⇒ bag-set ⇒ set): the strongest semantics first.
-BUILTIN_STRATEGIES = (BagStrategy, BagSetStrategy, SetStrategy)
+    return is_bag_set_equivalent(chased1, chased2)

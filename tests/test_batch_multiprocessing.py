@@ -2,9 +2,8 @@
 
 The in-process pipeline is exercised throughout ``tests/test_session.py``;
 these tests pin down the fan-out path: input-order results, per-item error
-capture inside workers *and* during payload construction, chase-cache
-isolation between the parent session and the worker processes, and the
-rejection of custom strategies that cannot be shipped across the fork.
+capture inside workers *and* during payload construction, and chase-cache
+isolation between the parent session and the worker processes.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro import Session, parse_aggregate_query, parse_dependencies, parse_query
-from repro.exceptions import SemanticsError
-from repro.session.strategies import SetStrategy
 
 SIGMA = """
 p(X,Y) -> t(X,Y,W)
@@ -148,16 +145,6 @@ class TestCacheIsolation:
 
 
 class TestConcurrencyGuards:
-    def test_custom_strategy_is_rejected_for_concurrency(self, sigma, pairs):
-        class MySetStrategy(SetStrategy):
-            name = "my-set"
-            aliases = ()
-
-        session = Session(dependencies=sigma)
-        session.register_semantics(MySetStrategy())
-        with pytest.raises(SemanticsError, match="custom semantics strategy"):
-            session.decide_many(pairs, semantics="my-set", concurrency=2)
-
     def test_single_item_batches_stay_in_process(self, sigma, pairs):
         # One item never pays for a pool: the shared cache sees the chases.
         session = Session(dependencies=sigma)

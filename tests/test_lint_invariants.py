@@ -44,6 +44,7 @@ def test_frozen_checksums_cover_both_reference_engines():
     assert set(pins) == {
         "src/repro/core/reference.py",
         "src/repro/chase/reference.py",
+        "src/repro/reformulation/reference.py",
     }
     for rel_path, expected in pins.items():
         actual = hashlib.sha256((REPO_ROOT / rel_path).read_bytes()).hexdigest()

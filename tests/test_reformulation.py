@@ -27,8 +27,9 @@ from repro.reformulation import (
     reformulate_aggregate_query,
     sum_count_c_and_b,
 )
+from repro.reformulation.reference import chase_and_backchase_reference
 from repro.semantics import Semantics
-from repro.session import BUILTIN_STRATEGIES, SemanticsStrategy, Session
+from repro.session import Session
 
 
 def _reformulate(query, dependencies, semantics, **options):
@@ -272,47 +273,14 @@ class TestSigmaMinimize:
 
 
 # --------------------------------------------------------------------------- #
-# The backchase verdict table (chase-free rules for the built-in strategies)
+# The backchase verdict table (chase-free rules)
 # --------------------------------------------------------------------------- #
 SEMANTICS = ("set", "bag", "bag-set")
 
 
-class _ExhaustiveStrategy(SemanticsStrategy):
-    """A third-party strategy wrapping a built-in one.
-
-    Its C&B takes the chase-every-candidate path, so it is the reference the
-    verdict table is compared against.  It keeps the wrapped strategy's name
-    and cache token, so a session built with it can share chase-cache
-    entries with a built-in session.
-    """
-
-    def __init__(self, inner: SemanticsStrategy):
-        self.inner = inner
-        self.name = inner.name
-
-    def cache_token(self):
-        return self.inner.cache_token()
-
-    def chase(self, query, dependencies, max_steps=DEFAULT_MAX_STEPS):
-        return self.inner.chase(query, dependencies, max_steps)
-
-    def chase_with_plans(self, query, dependencies, max_steps, plan_cache):
-        return self.inner.chase_with_plans(query, dependencies, max_steps, plan_cache)
-
-    def equivalent_chased(self, chased1, chased2, dependencies):
-        return self.inner.equivalent_chased(chased1, chased2, dependencies)
-
-
-def _exhaustive_session(dependencies, max_steps=DEFAULT_MAX_STEPS, cache=None):
-    session = Session(dependencies=dependencies, max_steps=max_steps, cache=cache)
-    for strategy in BUILTIN_STRATEGIES:
-        session.register_semantics(_ExhaustiveStrategy(strategy()), replace=True)
-    return session
-
-
-def _outcome(session, query, semantics, **kwargs):
+def _outcome(reformulate, query, semantics, **kwargs):
     try:
-        result = session.reformulate(query, semantics, **kwargs)
+        result = reformulate(query, semantics, **kwargs)
     except ReproError as error:
         return type(error).__name__
     return (
@@ -324,19 +292,22 @@ def _outcome(session, query, semantics, **kwargs):
 
 
 def _differences(dependencies, queries, max_steps=DEFAULT_MAX_STEPS, **kwargs):
-    """Every (query, semantics) whose built-in C&B differs from the exhaustive one.
+    """Every (query, semantics) whose C&B differs from the chase-every-candidate reference.
 
-    The two sessions share one chase cache, cleared before each query, so
-    the exhaustive run chases only what the built-in run skipped.
+    Both run on one session, whose chase cache is cleared before each query,
+    so the reference chases only what C&B skipped.
     """
-    fast = Session(dependencies=dependencies, max_steps=max_steps)
-    exhaustive = _exhaustive_session(dependencies, max_steps, cache=fast.cache)
+    session = Session(dependencies=dependencies, max_steps=max_steps)
+
+    def reference(query, semantics, **options):
+        return chase_and_backchase_reference(session, query, semantics, **options)
+
     differences = []
     for query in queries:
         for semantics in SEMANTICS:
-            fast.clear_cache()
-            got = _outcome(fast, query, semantics, **kwargs)
-            expected = _outcome(exhaustive, query, semantics, **kwargs)
+            session.clear_cache()
+            got = _outcome(session.reformulate, query, semantics, **kwargs)
+            expected = _outcome(reference, query, semantics, **kwargs)
             if got != expected:
                 differences.append((str(query), semantics, got, expected))
     return differences
@@ -544,11 +515,14 @@ class TestVerdictTableRules:
         assert _differences([], [query]) == []
 
     def test_third_party_strategy_chases_every_candidate(self, monkeypatch):
+        # The reference C&B: every candidate chased, every probe decided.
         star = star_workload(6)
-        session = _exhaustive_session(star.dependencies)
+        session = Session(dependencies=star.dependencies)
+        chased = _spy(monkeypatch, session, "chase")
         decided = _spy(monkeypatch, session, "decide")
-        result = session.reformulate(star.query, "bag")
+        result = chase_and_backchase_reference(session, star.query, "bag")
         assert result.candidates_chased == result.candidates_examined == 127
+        assert len(chased) >= 1 + 127
         assert decided
 
     def test_isomorphism_dedup_compares_within_buckets(self, monkeypatch):

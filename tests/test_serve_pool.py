@@ -123,19 +123,6 @@ class TestWireAgreement:
                 w["requests"] for w in stats["workers"] if "stats" in w
             ) >= 18
 
-    def test_custom_semantics_rejected_for_process_pool(self, ex41):
-        from repro.exceptions import SemanticsError
-        from repro.session.strategies import SetStrategy
-
-        class MySet(SetStrategy):
-            name = "my-set"
-            aliases = ()
-
-        session = Session(dependencies=ex41.dependencies)
-        session.register_semantics(MySet())
-        with pytest.raises(SemanticsError, match="custom strateg"):
-            ReproServer(session, port=0, workers=2)
-
 
 # --------------------------------------------------------------------------- #
 class TestCrashRespawn:

@@ -23,6 +23,7 @@ from repro.core.terms import (
 )
 from repro.datalog import parse_dependencies, parse_query, render_query
 from repro.serve import ChaseStore, ReproClient, ReproServer, key_digest
+from repro.semantics import Semantics
 from repro.serve.ops import execute_op
 from repro.session import Session
 
@@ -64,8 +65,7 @@ SEMANTICS = ("set", "bag", "bag-set")
 
 
 def _key(session: Session, query, semantics: str = "bag"):
-    strategy = session.registry.resolve(semantics)
-    return session._chase_key(query, strategy, session.max_steps)
+    return session._chase_key(query, Semantics(semantics), session.max_steps)
 
 
 def _churn_session(**kwargs) -> Session:
@@ -368,11 +368,13 @@ class TestChaseStore:
             + "\n"
             + json.dumps({"v": 999, "k": "deadbeef"})
             + "\n"
+            + json.dumps({**json.loads(good_lines[0]), "k": "cafe", "semantics": "prob"})
+            + "\n"
             + "\n".join(good_lines[1:])
             + "\n"
         )
         store = ChaseStore(path)
-        assert store.corrupt_entries == 2
+        assert store.corrupt_entries == 3
         assert len(store) == len(good_lines)
         store.close()
 

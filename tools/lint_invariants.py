@@ -18,9 +18,9 @@ invariants explicit and machine-checked:
 * **R3 frozen-escape** — ``object.__setattr__`` / ``object.__delattr__``
   (the only way to mutate a frozen dataclass) are allowed only in the
   modules that legitimately build frozen objects field-by-field.
-* **R4 frozen-drift** — ``core/reference.py`` and ``chase/reference.py``
-  are differential-testing oracles and must never change silently; their
-  content checksums are pinned here.
+* **R4 frozen-drift** — ``core/reference.py``, ``chase/reference.py`` and
+  ``reformulation/reference.py`` are differential-testing oracles and must
+  never change silently; their content checksums are pinned here.
 * **R5 forbidden-import** — ``networkx`` was removed as a dependency; no
   module under ``src/repro`` may import it again.
 
@@ -71,6 +71,9 @@ FROZEN_CHECKSUMS = {
     ),
     "src/repro/chase/reference.py": (
         "7b44a996a59791d333b7efce1ef5980ca02e30150e95ddbfc325c872136a8031"
+    ),
+    "src/repro/reformulation/reference.py": (
+        "312138fb881fec7b6228730ba272f04f5f705e18783dab89ba1b96e84f9b0ed7"
     ),
 }
 
