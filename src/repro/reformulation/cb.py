@@ -22,7 +22,7 @@ against the universal plan U, and many verdicts follow from others.  The
 backchase records every verdict in a table keyed by the candidate's U-body
 positions (candidates still come smallest first, and a candidate's query is
 built only when it is chased or accepted) and settles a candidate without
-chasing it by four exact rules, tried in the order 2, 1, 4:
+chasing it by five exact rules, tried in the order 2, 1, 4, 5:
 
 1. *refutation* (every semantics): each semantics' test needs every predicate
    of U in the chased candidate, a tgd adds its conclusion predicates only
@@ -35,7 +35,11 @@ chasing it by four exact rules, tried in the order 2, 1, 4:
    is a sub-multiset of U's body (always the case under the identity
    substitution) gets that candidate's verdict, since each semantics' test
    is an equivalence relation and the probed reformulation is equivalent to
-   U.  Only the other probes call :meth:`Session.decide`;
+   U.  Only the other probes call :meth:`Session.decide`.  Under the
+   identity substitution the probe is the reformulation's position mask
+   less one bit, kept when it meets the positions of every head variable;
+   every such mask has a verdict already, since candidates come smallest
+   first.  Only the endomorphism substitutions build a shortened query;
 4. *re-derivation* (every semantics): a candidate from which U can be
    rebuilt, inside U, by chase steps sound for the semantics is accepted.
    Starting from T := S, a *guided step* uses a tgd σ of the compiled,
@@ -63,15 +67,83 @@ chasing it by four exact rules, tried in the order 2, 1, 4:
    reformulation of Q: by the completeness of the test C&B relies on,
    chasing S and testing the result would have answered True.  Like the
    assignment-fixing rule, the proof takes the Definition 4.3 test chases
-   of key-determined tgds to terminate.
+   of key-determined tgds to terminate;
+5. *refutation by re-derivation* (bag and bag-set semantics): in the
+   key/foreign-key regime below, a candidate S is rejected when no
+   *embedding* f of S into U has a rule-4 closure from f(S) that reaches
+   every position of U.  An embedding fixes the head, sends S's variables
+   to distinct variables of U, and so sends S's atoms to distinct
+   positions; rule 4 is the identity embedding.  When only a non-identity
+   embedding reaches U, the candidate is chased.  The regime is checked
+   once per table, on the compiled, regularized Σ:
+
+   (a) every tgd's steps are sound in every state, as in rule 4;
+   (b) every tgd has one conclusion atom, with no constant, in which each
+       existential variable occurs once;
+   (c) every egd is fd shaped, and every fd on a conclusion atom's
+       predicate has that atom's universal positions inside its
+       determinant;
+   (d) U holds no atom twice.
+
+   *Proof.*  Three steps.
+
+   *One extension, no witness.*  U is a terminal chase state, so it
+   satisfies Σ's fds.  Take a premise match h into U of a tgd σ.  If σ is
+   full, h is its only extension.  Otherwise σ is key-determined by (a):
+   the universal positions of its conclusion atom are a superkey under
+   the fds.  Two extensions' images agree on those positions, hence
+   everywhere, so by (d) they are one position.  By (b) that image fixes
+   the extension.  So a guided step adds one atom and has no witness.  It
+   fires in T when its premise is in T, and neither its atom nor a
+   variable at one of its existential positions is.
+
+   *Greedy order is harmless.*  Suppose steps s₁ … sₙ lead from T₀ to U,
+   adding a₁ … aₙ, with Tₖ = T₀ ∪ {a₁ … aₖ}.  Suppose too that the closure
+   from T₀ stops at R ≠ U.  Let k be least with aₖ ∉ R.  Then Tₖ₋₁ ⊆ R
+   holds sₖ's premise, and sₖ does not fire in R.  So R holds a variable V
+   at an existential position of sₖ, and V ∉ Tₖ₋₁.  Let c be the first
+   atom the closure added that holds V, and τ the step that added it.  V
+   was new then, so it sits only at existential positions of τ.  c is not
+   in Tₖ₋₁ and is not aₖ, so c = aⱼ for some j > k.  In sⱼ, V ∈ Tⱼ₋₁, so V
+   sits only at universal positions of sⱼ.  Take a position i of c that
+   holds V: it is existential in τ and universal in sⱼ.  By (c) every fd
+   on c's predicate has i in its determinant.  So no fd can add i to the
+   closure of τ's universal positions.  That contradicts (a), by which τ's
+   tgd is key-determined.  So every maximal firing order reaches U when
+   one sequence does.
+
+   *Rejection.*  Suppose chasing S would accept it.  S ⊆ U satisfies the
+   fds, and by (c) every egd is one.  An egd could fire only on two atoms
+   that agree on a determinant, one of them added by a tgd step.  Say A is
+   the later of the two, and B the other.  By (c), B agrees with A on the
+   universal positions of A's step.  By (b), sending each existential
+   variable to B's term at its one position maps the conclusion onto B.
+   So A's trigger was satisfied, and its step was not applicable.  So the
+   sound chase of S is a sequence of tgd steps.  Each adds an atom absent
+   before: a full step because its trigger was applicable, and an
+   existential one because the atom holds a fresh variable.  So the result
+   S* holds no atom twice, and neither does U, and the bag and bag-set
+   tests both ask for an isomorphism g from S* onto U.  g fixes the head
+   and maps S to an embedding f(S) ⊆ U.  It carries the tgd steps onto
+   guided steps from f(S) that reach U: g is a bijection of terms that
+   fixes constants, so applicability and fresh images carry over.  By the
+   second step, the closure from f(S) reaches U.  So if no embedding's
+   closure does, the chase would have rejected S.
+
+   An atom whose predicate U holds once can only go to itself, so a
+   candidate made of such atoms has no embedding but the identity, and
+   rule 5 searches none.  Otherwise the embeddings come from the match
+   kernel, over the index that holds U for the guided steps.
 
 The possible guided steps are computed once per C&B call as bitmasks over
-U's positions, so rule 4 costs a candidate one bitmask closure: no query,
-no chase key, no chase, no equivalence test.  The rules change no output;
-the one observable difference is that a candidate settled by a rule is
-never chased, so it can no longer raise from its own chase (e.g. by
-exhausting its step budget), and its chase lands in neither the chase cache
-nor an attached store.
+U's positions, so rules 4 and 5 cost a candidate one bitmask closure per
+embedding: no query, no chase key, no chase, no equivalence test.  In the
+regime every candidate of the repo benchmark's C&B inputs is settled
+without a chase.  The rules change no output; the one observable
+difference is that a candidate settled by a rule is never chased, so it
+can no longer raise from its own chase (e.g. by exhausting its step
+budget), and its chase lands in neither the chase cache nor an attached
+store.
 ``ReformulationResult.candidates_chased`` counts the candidates that were
 chased.  :mod:`repro.reformulation.reference` is the C&B without the table,
 which chases every candidate; the differential tests compare the two.
@@ -79,22 +151,26 @@ which chases every candidate; the differential tests compare the two.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from ..core import homomorphism
 from ..core.atoms import Atom
 from ..core.homomorphism import TargetIndex, are_isomorphic
+from ..core.plan import MatchPlan
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Term, Variable
 from ..dependencies.base import TGD, Dependency, DependencySet
+from ..dependencies.classify import PositionalFD, egd_as_positional_fd
 from ..semantics import Semantics
-from ..chase.plans import AssignmentFixingRule, PlanCache, TGDPlan
+from ..chase.plans import AssignmentFixingRule, PlanCache, SigmaPlans, TGDPlan
 from ..chase.set_chase import DEFAULT_MAX_STEPS, ChaseResult
 from ..chase.sound_chase import sound_chase
 from ..session import strategies
 from .candidates import iter_subqueries, iter_subquery_positions, subquery_at
-from .minimality import is_sigma_minimal
+from .minimality import _candidate_substitutions, _drops_to_an_equivalent
 
 if TYPE_CHECKING:
     from ..session.engine import Session
@@ -197,11 +273,14 @@ def chase_and_backchase(
         return verdict
 
     reformulations: list[ConjunctiveQuery] = []
+    #: The U-body positions of each reformulation, as a bitmask.
+    masks: list[int] = []
     distinct = IsomorphismBuckets()
     examined = chased = 0
     for positions in iter_subquery_positions(universal_plan, max_size=max_candidate_size):
         examined += 1
-        verdict = table.settle(positions)
+        mask = _position_mask(positions)
+        verdict = table.settle(mask)
         if verdict is False:
             continue
         candidate = subquery_at(universal_plan, positions)
@@ -210,35 +289,32 @@ def chase_and_backchase(
             verdict = strategies.equivalent_chased(
                 chase(candidate).query, universal_plan, sigma, semantics
             )
-            table.record(positions, verdict)
+            table.record(mask, verdict)
         if verdict and distinct.add_if_new(candidate):
             reformulations.append(candidate)
+            masks.append(mask)
 
     if check_sigma_minimality:
+        # Definition 3.1's probes: the identity substitution on masks
+        # (rule 3), then the endomorphisms, whose shortened queries are built.
         minimal = [
             candidate
-            for candidate in reformulations
-            if is_sigma_minimal(
+            for candidate, mask in zip(reformulations, masks)
+            if not table.drops_to_an_accepted(mask)
+            and not _drops_to_an_equivalent(
                 candidate,
-                sigma,
-                semantics,
-                max_steps,
-                equivalent_fn=minimality_equivalent,
+                islice(_candidate_substitutions(candidate), 1, None),
+                minimality_equivalent,
             )
         ]
     else:
         # Fall back to subset-minimality: keep candidates none of whose
         # accepted strict sub-bodies is also accepted.
-        minimal = []
-        for candidate in reformulations:
-            has_smaller = any(
-                other is not candidate
-                and len(other.body) < len(candidate.body)
-                and set(other.body) <= set(candidate.body)
-                for other in reformulations
-            )
-            if not has_smaller:
-                minimal.append(candidate)
+        minimal = [
+            candidate
+            for candidate, mask in zip(reformulations, masks)
+            if not any(other != mask and other & ~mask == 0 for other in masks)
+        ]
 
     return ReformulationResult(
         query=query,
@@ -269,13 +345,13 @@ _GuidedStep = tuple[tuple[int, ...], int, int, tuple[tuple[int, ...], ...]]
 
 
 class _VerdictTable:
-    """Backchase verdicts keyed by U-body positions, and the four rules.
+    """Backchase verdicts keyed by U-body positions, and the five rules.
 
     See the module docstring for the rules and their proofs.  Positions are
     held as bitmasks: the upward-closure test is one ``&`` per accepted
-    candidate, a minimality lookup one dict probe per atom, and a
-    re-derivation one closure over the guided steps, which are computed on
-    first use, once per table.
+    candidate, a minimality probe under the identity one dict probe per
+    atom, and a re-derivation one closure over the guided steps, which are
+    computed on first use, once per table, with rule 5's regime.
     """
 
     __slots__ = (
@@ -289,8 +365,13 @@ class _VerdictTable:
         "_tgds",
         "_accepted",
         "_positions",
+        "_copies",
+        "_holders",
+        "_repeated",
         "_full",
         "_steps",
+        "_index",
+        "_in_regime",
     )
 
     def __init__(
@@ -319,34 +400,53 @@ class _VerdictTable:
         #: Masks of the candidates accepted by a chase or by rule 4; under
         #: upward closure every other accepted candidate contains one of them.
         self._accepted: list[int] = []
-        #: Each atom of U → its positions, in body order.
+        #: Each atom of U → its positions, in body order, and as a bitmask.
         self._positions: dict[Atom, list[int]] = {}
         for position, atom in enumerate(body):
             self._positions.setdefault(atom, []).append(position)
+        self._copies = {
+            atom: _position_mask(positions) for atom, positions in self._positions.items()
+        }
+        #: Per head variable, the positions holding it: a subset is safe
+        #: when it meets every one of them.
+        self._holders = [
+            _position_mask([i for i, atom in enumerate(body) if variable in atom.terms])
+            for variable in universal_plan.head_variables()
+        ]
+        #: The positions whose predicate U holds more than once.
+        counts = Counter(self._predicates)
+        self._repeated = _position_mask(
+            [i for i, predicate in enumerate(self._predicates) if counts[predicate] > 1]
+        )
         self._full = (1 << len(body)) - 1
+        self._index = TargetIndex(body)
         self._steps: list[_GuidedStep] | None = None
+        #: Whether rule 5's regime holds; decided with the guided steps,
+        #: which rule 4's first closure computes.
+        self._in_regime = False
 
-    def settle(self, positions: Sequence[int]) -> bool | None:
-        """Rules 2, 1 and 4: the verdict of the candidate at *positions*, or None to chase it."""
-        mask = _position_mask(positions)
+    def settle(self, mask: int) -> bool | None:
+        """Rules 2, 1, 4 and 5: the verdict of the candidate at *mask*, or None to chase it."""
         if self._semantics is Semantics.SET and any(
             mask & accepted == accepted for accepted in self._accepted
         ):
             self._verdicts[mask] = True
             return True
-        if not self._reaches_needed({self._predicates[i] for i in positions}):
+        if not self._reaches_needed(
+            {predicate for i, predicate in enumerate(self._predicates) if mask >> i & 1}
+        ):
             self._verdicts[mask] = False
             return False
         if self._rederives(mask):
-            self._store(mask, True)
+            self.record(mask, True)
             return True
+        if self._in_regime and self._no_embedding_rederives(mask):
+            self._verdicts[mask] = False
+            return False
         return None
 
-    def record(self, positions: Sequence[int], verdict: bool) -> None:
-        """Store the verdict a chase gave the candidate at *positions*."""
-        self._store(_position_mask(positions), verdict)
-
-    def _store(self, mask: int, verdict: bool) -> None:
+    def record(self, mask: int, verdict: bool) -> None:
+        """Store the verdict a chase or rule 4 gave the candidate at *mask*."""
         self._verdicts[mask] = verdict
         if verdict:
             self._accepted.append(mask)
@@ -367,6 +467,23 @@ class _VerdictTable:
             taken[atom] = used + 1
             mask |= 1 << slots[used]
         return self._verdicts.get(mask)
+
+    def drops_to_an_accepted(self, mask: int) -> bool:
+        """Rule 3 under the identity substitution: is a safe one-atom drop of *mask* accepted?
+
+        The candidate at *mask* was accepted, and candidates come smallest
+        first, so every safe proper subset of it has a verdict already.
+        """
+        if not mask & (mask - 1):
+            return False  # one atom: nothing to drop
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            shortened = mask ^ bit
+            if all(holder & shortened for holder in self._holders) and self._verdicts[shortened]:
+                return True
+        return False
 
     def _reaches_needed(self, reached: set[str]) -> bool:
         """Can Σ's tgds, fired from the predicates *reached*, produce every predicate of U?"""
@@ -408,18 +525,54 @@ class _VerdictTable:
             pending = waiting
         return True
 
+    def _no_embedding_rederives(self, mask: int) -> bool:
+        """Rule 5: does no embedding of the candidate at *mask* into U rebuild U?
+
+        An embedding fixes the head and sends the candidate's variables to
+        distinct variables of U; rule 4 has just tried the identity, so an
+        image at *mask* itself is skipped.  An atom whose predicate U holds
+        once can only go to itself, so a candidate made of such atoms has no
+        other image, and no search runs.  False also when some other image
+        rebuilds U: the candidate is then chased.
+        """
+        if not mask & self._repeated:
+            return True
+        body = self._plan.body
+        source = [atom for i, atom in enumerate(body) if mask >> i & 1]
+        head: dict[Term, Term] = {variable: variable for variable in self._plan.head_variables()}
+        tried = {mask}
+        for embedding in homomorphism.iter_matches(MatchPlan(source), self._index, head):
+            images = list(embedding.values())
+            if len(set(images)) != len(images) or not all(
+                isinstance(term, Variable) for term in images
+            ):
+                continue
+            image = 0
+            for atom in source:
+                image |= self._copies[atom.substitute(embedding)]
+            if image in tried:
+                continue
+            tried.add(image)
+            if self._rederives(image):
+                return False
+        return True
+
     def _guided_steps(self) -> list[_GuidedStep]:
-        """Every guided step inside U of a tgd whose steps are sound in every state."""
+        """Every guided step inside U of a tgd whose steps are sound in every state.
+
+        Also decides whether rule 5's regime holds.
+        """
         plans = self._plan_cache.plans_for(self._sigma)
         rule = plans.assignment_fixing_rule()
         gates_hold = rule.holds_for(self._plan)
         body = self._plan.body
-        copies = {atom: _position_mask(positions) for atom, positions in self._positions.items()}
+        copies = self._copies
         holding: dict[Term, int] = {}
         for position, atom in enumerate(body):
             for variable in atom.variables():
                 holding[variable] = holding.get(variable, 0) | 1 << position
-        index = TargetIndex(body)
+        index = self._index
+        self._in_regime = self._regime_holds(plans, rule, gates_hold)
         # A dict keeps the first of equal steps (U's duplicate atoms repeat matches).
         steps: dict[_GuidedStep, None] = {}
         for plan in plans.tgd_plans:
@@ -456,6 +609,39 @@ class _VerdictTable:
                     )
                     steps[(premise, blocked, added, witnesses)] = None
         return list(steps)
+
+    def _regime_holds(
+        self, plans: SigmaPlans, rule: AssignmentFixingRule, gates_hold: bool
+    ) -> bool:
+        """Rule 5's regime, conditions (a)–(d) of the module docstring."""
+        if self._semantics is Semantics.SET:
+            return False  # rule 5 is for bag and bag-set semantics
+        if len(self._positions) != len(self._plan.body):
+            return False  # (d): U holds an atom twice
+        fds: dict[tuple[str, int], list[PositionalFD]] = {}
+        for egd in plans.egds:
+            recognised = egd_as_positional_fd(egd)
+            if recognised is None:
+                return False  # (c): an egd that is no fd
+            fds.setdefault(egd.premise[0].signature, []).append(recognised[1])
+        for plan in plans.tgd_plans:
+            if not self._sound_in_every_state(plan, rule, gates_hold):
+                return False  # (a)
+            conclusion = plan.tgd.conclusion
+            if len(conclusion) != 1:
+                return False  # (b)
+            atom = conclusion[0]
+            terms = atom.terms
+            if any(not isinstance(term, Variable) for term in terms) or any(
+                terms.count(variable) != 1 for variable in plan.existential
+            ):
+                return False  # (b)
+            universal = frozenset(
+                i for i, term in enumerate(terms) if term not in plan.existential
+            )
+            if any(not universal <= determinant for determinant, _ in fds.get(atom.signature, ())):
+                return False  # (c)
+        return True
 
     def _sound_in_every_state(
         self, plan: TGDPlan, rule: AssignmentFixingRule, gates_hold: bool

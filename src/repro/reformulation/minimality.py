@@ -7,16 +7,23 @@ For aggregate queries, Σ-minimality is Σ-minimality of the core.
 
 The variable-replacement space of Definition 3.1 is all mappings from Q's
 variables to Q's variables, which is exponential; following standard C&B
-practice, :func:`is_sigma_minimal` searches the substitutions induced by the
-query's own head-preserving endomorphisms (plus the identity).  Every
-substitution that can merge atoms of the query while preserving equivalence
-is of that form, so the check is exact for the reformulation workloads the
-paper targets; the docstring records the restriction explicitly.
+practice, :func:`is_sigma_minimal` searches only the substitutions induced
+by the query's own head-preserving endomorphisms (plus the identity).  That
+is **not exact**: a replacement that merges two atoms only once Σ's egds are
+taken into account is no endomorphism of Q.  With the key
+``r(X,Y) & r(X,Z) -> Y = Z``, the function calls
+``Q(X) :- r(X,Y), r(X,Z), s(Y), t(Z)`` Σ-minimal under set and bag-set
+semantics, yet replacing Z by Y and dropping the repeated ``r`` atom gives
+``Q(X) :- r(X,Y), s(Y), t(Y)``, which :meth:`repro.session.Session.decide`
+finds Σ-equivalent to Q under both.  On C&B's own outputs the restricted
+search agrees with an exhaustive search of every variable→variable map
+(the Definition 3.1 leg of ``tests/test_reformulation.py``, run on the
+paper workloads and the seed-0 fuzz campaign).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..core.aggregate import AggregateQuery
 from ..core.minimization import iter_core_endomorphisms
@@ -65,14 +72,27 @@ def is_sigma_minimal(
     overrides the equivalence probe — the Session engine injects its
     cache-aware decision procedure here.
     """
-    from ..core.minimization import drop_atom_if_safe
-
     if equivalent_fn is None:
         equivalent_fn = lambda shortened, original: equivalent_under_dependencies(  # noqa: E731
             shortened, original, dependencies, semantics, max_steps
         )
+    return not _drops_to_an_equivalent(query, _candidate_substitutions(query), equivalent_fn)
 
-    for substitution in _candidate_substitutions(query):
+
+def _drops_to_an_equivalent(
+    query: ConjunctiveQuery,
+    substitutions: Iterable[dict[Term, Term]],
+    equivalent_fn: Callable[[ConjunctiveQuery, ConjunctiveQuery], bool],
+) -> bool:
+    """Does some substitution, followed by dropping one atom, keep *query*'s equivalence?
+
+    The substitutions are tried in order, and the atoms of each substituted
+    query in body order; the search stops at the first equivalent shortened
+    query.
+    """
+    from ..core.minimization import drop_atom_if_safe
+
+    for substitution in substitutions:
         substituted = query.substitute(substitution) if substitution else query
         if len(substituted.body) <= 1:
             continue
@@ -81,8 +101,8 @@ def is_sigma_minimal(
             if shortened is None:
                 continue
             if equivalent_fn(shortened, query):
-                return False
-    return True
+                return True
+    return False
 
 
 def sigma_minimize(

@@ -84,6 +84,27 @@ def _param_max_steps(params: dict[str, Any]) -> int | None:
     return value
 
 
+def _param_semantics(params: dict[str, Any]) -> str | None:
+    """A semantics name, or None for the session's default.
+
+    An unknown name is left to the session, which answers
+    ``unknown-semantics``; a value that is no name at all is malformed.
+    """
+    value = params.get("semantics")
+    if value is not None and not isinstance(value, str):
+        raise ProtocolError("invalid-request", "params.semantics must be a string")
+    return value
+
+
+def _param_flag(params: dict[str, Any], name: str) -> bool:
+    value = params.get(name)
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise ProtocolError("invalid-request", f"params.{name} must be true or false")
+    return value
+
+
 def _param_delta(params: dict[str, Any]) -> ChaseDelta:
     def atoms_of(name: str) -> tuple[Any, ...]:
         text = params.get(name)
@@ -130,7 +151,7 @@ def _param_delta(params: dict[str, Any]) -> ChaseDelta:
 def _op_decide(session: Session, params: dict[str, Any]) -> dict[str, Any]:
     q1 = _param_query(params, "query")
     q2 = _param_query(params, "other")
-    semantics = params.get("semantics")
+    semantics = _param_semantics(params)
     verdict = session.decide(q1, q2, semantics, _param_max_steps(params))
     return {
         "equivalent": bool(verdict),
@@ -141,8 +162,8 @@ def _op_decide(session: Session, params: dict[str, Any]) -> dict[str, Any]:
 
 def _op_reformulate(session: Session, params: dict[str, Any]) -> dict[str, Any]:
     query = _param_query(params, "query")
-    semantics = params.get("semantics")
-    minimal_only = bool(params.get("minimal_only", False))
+    semantics = _param_semantics(params)
+    minimal_only = _param_flag(params, "minimal_only")
     result = session.reformulate(
         query,
         semantics,
@@ -186,7 +207,7 @@ def _op_batch(session: Session, params: dict[str, Any]) -> dict[str, Any]:
         except ParseError as exc:
             parse_failures[index] = str(exc)
             pairs.append(None)
-    semantics = params.get("semantics")
+    semantics = _param_semantics(params)
     report = session.decide_many(
         (pair for pair in pairs if pair is not None),
         semantics=semantics,
@@ -230,6 +251,7 @@ def _op_analyze(session: Session, params: dict[str, Any]) -> dict[str, Any]:
     """
     from ..analysis.static import analyze
 
+    strict = _param_flag(params, "strict")
     if "dependencies" in params:
         text = _param_str(params, "dependencies")
         try:
@@ -250,7 +272,7 @@ def _op_analyze(session: Session, params: dict[str, Any]) -> dict[str, Any]:
     except ParseError as exc:
         raise ProtocolError("parse-error", f"params.queries: {exc}") from exc
     report = analyze(dependencies, queries=queries)
-    if params.get("strict") and not report.ok:
+    if strict and not report.ok:
         raise PrecheckFailedError(
             "; ".join(d.render_line() for d in report.errors),
             report=report,
@@ -275,7 +297,7 @@ def _op_apply_delta(session: Session, params: dict[str, Any]) -> dict[str, Any]:
     """
     query = _param_query(params, "query")
     delta = _param_delta(params)
-    semantics = params.get("semantics")
+    semantics = _param_semantics(params)
     outcome = session.apply_delta(query, delta, semantics, _param_max_steps(params))
     checkpoint = outcome.checkpoint
     return {

@@ -88,3 +88,21 @@ def small_instance(small_schema) -> DatabaseInstance:
         },
         small_schema,
     )
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "nightly: a long campaign, deselected unless a -m expression names it "
+        "(the nightly workflow runs pytest -m nightly)",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Deselect the nightly campaigns unless ``-m`` asks about them."""
+    if "nightly" in (config.option.markexpr or ""):
+        return
+    nightly = [item for item in items if item.get_closest_marker("nightly")]
+    if nightly:
+        config.hook.pytest_deselected(items=nightly)
+        items[:] = [item for item in items if not item.get_closest_marker("nightly")]

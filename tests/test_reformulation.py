@@ -4,12 +4,15 @@ reformulation algorithms (Section 6.3, Appendix A)."""
 from __future__ import annotations
 
 import time
+from itertools import chain, product
 
 import pytest
 
 import repro.reformulation.cb as cb_module
 from repro.chase.set_chase import DEFAULT_MAX_STEPS
+from repro.chase.steps import ChaseFailedError
 from repro.core import are_isomorphic
+from repro.core.minimization import drop_atom_if_safe
 from repro.datalog import parse_aggregate_query, parse_dependencies, parse_query
 from repro.dependencies import DependencySet
 from repro.equivalence import decide_equivalence
@@ -387,6 +390,11 @@ class TestVerdictTableDifferential:
         differences, kept = _campaign(1, max_plan_atoms=8)
         assert (differences, kept) == ([], 579)
 
+    @pytest.mark.nightly
+    @pytest.mark.parametrize("seed, kept", [(2, 600), (3, 591), (4, 592), (5, 600)])
+    def test_fuzz_campaign_at_the_8_atom_cap(self, seed, kept):
+        assert _campaign(seed, max_plan_atoms=8) == ([], kept)
+
     def test_max_candidate_size_is_respected(self):
         star = star_workload(6)
         assert _differences(star.dependencies, [star.query], max_candidate_size=2) == []
@@ -458,7 +466,14 @@ class TestVerdictTableRules:
         assert (result.candidates_examined, result.candidates_chased) == (7, 3)
         assert [len(q.body) for q in chased] == [3, 1, 1, 1]
         assert len(result.reformulations) == 3
-        # Bag semantics has no upward closure: the pairs are chased too.
+        # Under bag semantics rule 5 refutes the singletons and the pairs.
+        result = session.reformulate(query, "bag", check_sigma_minimality=False)
+        assert (result.candidates_examined, result.candidates_chased) == (7, 0)
+        # Bag semantics has no upward closure: outside rule 5's regime the
+        # pairs are chased too.  The tgd never fires on this query, but its
+        # conclusion predicate is not set valued, so under bag semantics
+        # its steps are not sound in every state, and condition (a) fails.
+        session = Session(dependencies=parse_dependencies("g(X) -> h(X)"))
         result = session.reformulate(query, "bag", check_sigma_minimality=False)
         assert (result.candidates_examined, result.candidates_chased) == (7, 6)
 
@@ -469,8 +484,8 @@ class TestVerdictTableRules:
             ("star6", "bag", 0, 64),
             ("star6", "bag-set", 0, 64),
             ("chain6", "set", 0, 32),
-            ("chain6", "bag", 26, 6),
-            ("chain6", "bag-set", 26, 6),
+            ("chain6", "bag", 0, 6),
+            ("chain6", "bag-set", 0, 6),
         ],
     )
     def test_upward_closure_only_under_set_semantics(
@@ -542,3 +557,151 @@ class TestVerdictTableRules:
         result = Session(dependencies=[]).reformulate(query, "set")
         assert len(calls) == 1
         assert len(result.reformulations) == 2
+
+
+def _keyed(text, set_valued):
+    return DependencySet(parse_dependencies(text).dependencies, set_valued_predicates=set_valued)
+
+
+class TestRuleFiveRegime:
+    """Each regime condition of rule 5 that a counterexample shows necessary.
+
+    Both inputs fall outside the regime, so their candidates are chased.
+    Every relation a tgd concludes is set valued, so that the tgds are sound
+    in every state under bag as well as bag-set semantics.
+    """
+
+    @pytest.mark.parametrize("semantics", ("bag", "bag-set"))
+    def test_one_conclusion_atom(self, semantics):
+        # (b): the chase of a(X), b(X) adds r, s and r, t with two fresh
+        # variables, and the key on r merges them, so the result is U.  A
+        # guided step needs its existential image fresh, and after either
+        # tgd's step the other's image W_1 is not, so rule 4's closure
+        # cannot rebuild U.
+        sigma = _keyed(
+            """
+            a(X) -> r(X,Z) & s(X,Z)
+            b(X) -> r(X,W) & t(X,W)
+            r(X,Y1) & r(X,Y2) -> Y1 = Y2
+            s(X,Y1) & s(X,Y2) -> Y1 = Y2
+            t(X,Y1) & t(X,Y2) -> Y1 = Y2
+            """,
+            ["r", "s", "t"],
+        )
+        query = parse_query("Q(X) :- a(X), b(X)")
+        result = Session(dependencies=sigma).reformulate(query, semantics)
+        assert len(result.reformulations) == 8
+        assert result.candidates_chased > 0
+        assert _differences(sigma, [query]) == []
+
+    @pytest.mark.parametrize("semantics", ("bag", "bag-set"))
+    def test_fd_determinants_hold_the_universal_positions(self, semantics):
+        # (c): the fd's determinant X leaves out the tgd's universal Y, so
+        # the chase of p(X,Y), p(X,Y2) equates the two fresh Z's, which no
+        # guided step can do.
+        sigma = _keyed(
+            """
+            p(X,Y) -> r(X,Y,Z)
+            r(X,Y1,Z1) & r(X,Y2,Z2) -> Z1 = Z2
+            """,
+            ["r"],
+        )
+        query = parse_query("Q(X) :- p(X,Y), p(X,Y2)")
+        result = Session(dependencies=sigma).reformulate(query, semantics)
+        assert len(result.reformulations) == 3
+        assert result.candidates_chased > 0
+        assert _differences(sigma, [query]) == []
+
+
+def _exhaustively_sigma_minimal(session, query, semantics):
+    """Definition 3.1 by brute force, for queries with at most 5 variables.
+
+    Every map from the query's variables to its variables that fixes the
+    head variables is applied, the identity first, each atom of the result
+    is dropped in turn, and every safe shortened query, once per renaming,
+    is decided against the query.
+    A merge can make a shortened query unsatisfiable under Σ (its chase
+    fails); it then returns nothing on every instance, so it is not
+    equivalent to the query, whose own chase succeeded.
+    """
+    variables = query.all_variables()
+    head = set(query.head_variables())
+    free = [variable for variable in variables if variable not in head]
+    seen = set()
+    for images in chain([free], product(variables, repeat=len(free))):
+        substituted = query.substitute(dict(zip(free, images)))
+        for index in range(len(substituted.body)):
+            shortened = drop_atom_if_safe(substituted, index)
+            if shortened is None or shortened.structural_key() in seen:
+                continue
+            seen.add(shortened.structural_key())
+            try:
+                equivalent = session.decide(shortened, query, semantics)
+            except ChaseFailedError:
+                continue
+            if equivalent:
+                return False
+    return True
+
+
+def _definition_3_1_disagreements(dependencies, queries, max_steps=DEFAULT_MAX_STEPS):
+    """Reformulations whose C&B minimality verdict differs from the brute force.
+
+    Returns the disagreements and the number of reformulations checked;
+    those with more than 5 variables are skipped.
+    """
+    session = Session(dependencies=dependencies, max_steps=max_steps)
+    disagreements = []
+    checked = 0
+    for query in queries:
+        for semantics in SEMANTICS:
+            try:
+                result = session.reformulate(query, semantics)
+            except ReproError:
+                continue
+            minimal = {id(candidate) for candidate in result.minimal_reformulations}
+            for candidate in result.reformulations:
+                if len(candidate.all_variables()) > 5:
+                    continue
+                checked += 1
+                expected = _exhaustively_sigma_minimal(session, candidate, semantics)
+                if (id(candidate) in minimal) != expected:
+                    disagreements.append((str(candidate), semantics, expected))
+    return disagreements, checked
+
+
+class TestDefinition31Reference:
+    """C&B's Σ-minimality filter against an exhaustive Definition 3.1."""
+
+    @pytest.mark.parametrize(
+        "dependencies, queries",
+        [pytest.param(d, q, id=name) for name, d, q in _paper_inputs()],
+    )
+    def test_paper_workloads(self, dependencies, queries):
+        disagreements, checked = _definition_3_1_disagreements(dependencies, queries)
+        assert disagreements == []
+        assert checked
+
+    def test_seed0_fuzz_campaign(self):
+        cases = generate_cases(0, 300)
+        disagreements, checked = [], 0
+        for block in range(0, len(cases), 10):
+            group = cases[block:block + 10]
+            found, count = _definition_3_1_disagreements(
+                group[0].dependencies,
+                [q for case in group for q in (case.query, case.other)],
+                group[0].max_steps,
+            )
+            disagreements += found
+            checked += count
+        assert (disagreements, checked) == ([], 3123)
+
+    def test_reference_finds_an_egd_merge_the_endomorphisms_miss(self):
+        # The documented gap of is_sigma_minimal: Z ↦ Y is no endomorphism
+        # of Q, but under the key it merges the two r atoms.
+        sigma = parse_dependencies("r(X,Y) & r(X,Z) -> Y = Z")
+        query = parse_query("Q(X) :- r(X,Y), r(X,Z), s(Y), t(Z)")
+        session = Session(dependencies=sigma)
+        for semantics in ("set", "bag-set"):
+            assert is_sigma_minimal(query, sigma, semantics)
+            assert not _exhaustively_sigma_minimal(session, query, semantics)

@@ -234,6 +234,32 @@ class TestErrorPaths:
         )
         assert response["error"]["code"] == "invalid-request"
 
+    @pytest.mark.parametrize("semantics", [3, ["bag"], True])
+    @pytest.mark.parametrize("op", ["decide", "reformulate", "batch", "apply-delta"])
+    def test_semantics_that_is_no_name(self, client, ex41, op, semantics):
+        params = {
+            "decide": {"query": _q(ex41.q1), "other": _q(ex41.q4)},
+            "reformulate": {"query": _q(ex41.q4)},
+            "batch": {"pairs": [[_q(ex41.q1), _q(ex41.q4)]]},
+            "apply-delta": {"query": _q(ex41.q4), "add_atoms": "r(X)"},
+        }[op]
+        response = client.request(op, {**params, "semantics": semantics}, check=False)
+        assert response["error"]["code"] == "invalid-request"
+        assert "params.semantics" in response["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["false", 1])
+    def test_flag_that_is_no_boolean(self, client, ex41, value):
+        response = client.request(
+            "reformulate", {"query": _q(ex41.q4), "minimal_only": value}, check=False
+        )
+        assert response["error"]["code"] == "invalid-request"
+        assert "params.minimal_only" in response["error"]["message"]
+        response = client.request(
+            "analyze", {"dependencies": CYCLIC, "strict": value}, check=False
+        )
+        assert response["error"]["code"] == "invalid-request"
+        assert "params.strict" in response["error"]["message"]
+
     def test_internal_error_is_logged(self, ex41, caplog):
         """An unanticipated failure answers ``internal`` and logs one error."""
         session = Session(dependencies=ex41.dependencies)

@@ -105,10 +105,15 @@ class TestRegistryDispatch:
         assert counts == {"sound_chase": 2, tests[semantics]: 1}
 
         counts.clear()
-        # No tgd, so the verdict table settles no proper subset of U.
-        query = parse_query("Q(X) :- e(X,Y), e(X,Z), e(X,W)")
-        result = Session(dependencies=[]).reformulate(query, semantics)
-        assert result.candidates_chased > 0
+        # Outside rule 5's regime (the fd's determinant leaves out the tgd's
+        # universal Y), so the verdict table chases 2, 2 and 11 of the
+        # candidates under set, bag and bag-set semantics.
+        sigma = parse_dependencies("p(X,Y) -> r(X,Y,Z)\nr(X,Y1,Z1) & r(X,Y2,Z2) -> Z1 = Z2")
+        query = parse_query("Q(X) :- p(X,Y), p(X,Y2)")
+        result = Session(dependencies=sigma).reformulate(query, semantics)
+        assert result.candidates_chased == {
+            Semantics.SET: 2, Semantics.BAG: 2, Semantics.BAG_SET: 11
+        }[semantics]
         assert set(counts) == {"sound_chase", tests[semantics]}
         assert counts[tests[semantics]] >= result.candidates_chased
 
