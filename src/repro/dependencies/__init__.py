@@ -31,7 +31,21 @@ from .tuple_ids import (
     set_enforcing_egds_for,
     tid_projection_query,
 )
-from .weak_acyclicity import dependency_graph, is_weakly_acyclic, special_edges_on_cycles
+
+#: Served from :mod:`repro.dependencies.weak_acyclicity`, which is imported
+#: on first use: the engine never checks weak acyclicity itself.
+_WEAK_ACYCLICITY_NAMES = frozenset(
+    {"dependency_graph", "is_weakly_acyclic", "special_edges_on_cycles"}
+)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _WEAK_ACYCLICITY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import weak_acyclicity
+
+    return getattr(weak_acyclicity, name)
+
 
 __all__ = [
     "EGD",
