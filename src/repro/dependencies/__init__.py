@@ -33,7 +33,8 @@ from .tuple_ids import (
 )
 
 #: Served from :mod:`repro.dependencies.weak_acyclicity`, which is imported
-#: on first use: the engine never checks weak acyclicity itself.
+#: on first use: the chase, Session and C&B reach it only through the static
+#: analyzer, which imports it itself.
 _WEAK_ACYCLICITY_NAMES = frozenset(
     {"dependency_graph", "is_weakly_acyclic", "special_edges_on_cycles"}
 )
