@@ -31,22 +31,7 @@ from .tuple_ids import (
     set_enforcing_egds_for,
     tid_projection_query,
 )
-
-#: Served from :mod:`repro.dependencies.weak_acyclicity`, which is imported
-#: on first use: the chase, Session and C&B reach it only through the static
-#: analyzer, which imports it itself.
-_WEAK_ACYCLICITY_NAMES = frozenset(
-    {"dependency_graph", "is_weakly_acyclic", "special_edges_on_cycles"}
-)
-
-
-def __getattr__(name: str) -> object:
-    if name not in _WEAK_ACYCLICITY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import weak_acyclicity
-
-    return getattr(weak_acyclicity, name)
-
+from .weak_acyclicity import dependency_graph, is_weakly_acyclic, special_edges_on_cycles
 
 __all__ = [
     "EGD",

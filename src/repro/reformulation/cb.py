@@ -73,9 +73,14 @@ chasing it by five exact rules, tried in the order 2, 1, 4, 5:
    *embedding* f of S into U has a rule-4 closure from f(S) that reaches
    every position of U.  An embedding fixes the head, sends S's variables
    to distinct variables of U, and so sends S's atoms to distinct
-   positions; rule 4 is the identity embedding.  When only a non-identity
-   embedding reaches U, the candidate is chased.  The regime is checked
-   once per table, on the compiled, regularized Σ:
+   positions; rule 4 is the identity embedding.  The rule is applied only
+   to a candidate each of whose atoms has a predicate that U holds once:
+   each such atom can only go to itself, so the identity is the
+   candidate's one embedding, and rule 4's closure has just failed from
+   it.  A candidate with a predicate U holds more than once is chased.
+   Its embeddings are not searched: a candidate of k atoms e(X,Yᵢ) out of
+   U's n has n^k head-fixing maps into U, where one chase of it is cheap.
+   The regime is checked once per table, on the compiled, regularized Σ:
 
    (a) every tgd's steps are sound in every state, as in rule 4;
    (b) every tgd has one conclusion atom, with no constant, in which each
@@ -130,16 +135,12 @@ chasing it by five exact rules, tried in the order 2, 1, 4, 5:
    second step, the closure from f(S) reaches U.  So if no embedding's
    closure does, the chase would have rejected S.
 
-   An atom whose predicate U holds once can only go to itself, so a
-   candidate made of such atoms has no embedding but the identity, and
-   rule 5 searches none.  Otherwise the embeddings come from the match
-   kernel, over the index that holds U for the guided steps.
-
 The possible guided steps are computed once per C&B call as bitmasks over
-U's positions, so rules 4 and 5 cost a candidate one bitmask closure per
-embedding: no query, no chase key, no chase, no equivalence test.  In the
-regime every candidate of the repo benchmark's C&B inputs is settled
-without a chase.  The rules change no output; the one observable
+U's positions, so rules 4 and 5 together cost a candidate one bitmask
+closure: no query, no chase key, no chase, no equivalence test.  Every
+candidate of the repo benchmark's C&B inputs is settled without a chase:
+under bag and bag-set semantics they are in the regime and use each
+predicate once.  The rules change no output; the one observable
 difference is that a candidate settled by a rule is never chased, so it
 can no longer raise from its own chase (e.g. by exhausting its step
 budget), and its chase lands in neither the chase cache nor an attached
@@ -159,7 +160,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 from ..core import homomorphism
 from ..core.atoms import Atom
 from ..core.homomorphism import TargetIndex, are_isomorphic
-from ..core.plan import MatchPlan
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Term, Variable
 from ..dependencies.base import TGD, Dependency, DependencySet
@@ -365,12 +365,10 @@ class _VerdictTable:
         "_tgds",
         "_accepted",
         "_positions",
-        "_copies",
         "_holders",
         "_repeated",
         "_full",
         "_steps",
-        "_index",
         "_in_regime",
     )
 
@@ -400,26 +398,23 @@ class _VerdictTable:
         #: Masks of the candidates accepted by a chase or by rule 4; under
         #: upward closure every other accepted candidate contains one of them.
         self._accepted: list[int] = []
-        #: Each atom of U → its positions, in body order, and as a bitmask.
+        #: Each atom of U → its positions, in body order.
         self._positions: dict[Atom, list[int]] = {}
         for position, atom in enumerate(body):
             self._positions.setdefault(atom, []).append(position)
-        self._copies = {
-            atom: _position_mask(positions) for atom, positions in self._positions.items()
-        }
         #: Per head variable, the positions holding it: a subset is safe
         #: when it meets every one of them.
         self._holders = [
             _position_mask([i for i, atom in enumerate(body) if variable in atom.terms])
             for variable in universal_plan.head_variables()
         ]
-        #: The positions whose predicate U holds more than once.
+        #: The positions whose predicate U holds more than once: rule 5
+        #: settles no candidate that meets them.
         counts = Counter(self._predicates)
         self._repeated = _position_mask(
             [i for i, predicate in enumerate(self._predicates) if counts[predicate] > 1]
         )
         self._full = (1 << len(body)) - 1
-        self._index = TargetIndex(body)
         self._steps: list[_GuidedStep] | None = None
         #: Whether rule 5's regime holds; decided with the guided steps,
         #: which rule 4's first closure computes.
@@ -440,7 +435,8 @@ class _VerdictTable:
         if self._rederives(mask):
             self.record(mask, True)
             return True
-        if self._in_regime and self._no_embedding_rederives(mask):
+        if self._in_regime and not mask & self._repeated:
+            # Rule 5: the identity is the one embedding, and it failed.
             self._verdicts[mask] = False
             return False
         return None
@@ -525,38 +521,6 @@ class _VerdictTable:
             pending = waiting
         return True
 
-    def _no_embedding_rederives(self, mask: int) -> bool:
-        """Rule 5: does no embedding of the candidate at *mask* into U rebuild U?
-
-        An embedding fixes the head and sends the candidate's variables to
-        distinct variables of U; rule 4 has just tried the identity, so an
-        image at *mask* itself is skipped.  An atom whose predicate U holds
-        once can only go to itself, so a candidate made of such atoms has no
-        other image, and no search runs.  False also when some other image
-        rebuilds U: the candidate is then chased.
-        """
-        if not mask & self._repeated:
-            return True
-        body = self._plan.body
-        source = [atom for i, atom in enumerate(body) if mask >> i & 1]
-        head: dict[Term, Term] = {variable: variable for variable in self._plan.head_variables()}
-        tried = {mask}
-        for embedding in homomorphism.iter_matches(MatchPlan(source), self._index, head):
-            images = list(embedding.values())
-            if len(set(images)) != len(images) or not all(
-                isinstance(term, Variable) for term in images
-            ):
-                continue
-            image = 0
-            for atom in source:
-                image |= self._copies[atom.substitute(embedding)]
-            if image in tried:
-                continue
-            tried.add(image)
-            if self._rederives(image):
-                return False
-        return True
-
     def _guided_steps(self) -> list[_GuidedStep]:
         """Every guided step inside U of a tgd whose steps are sound in every state.
 
@@ -566,12 +530,12 @@ class _VerdictTable:
         rule = plans.assignment_fixing_rule()
         gates_hold = rule.holds_for(self._plan)
         body = self._plan.body
-        copies = self._copies
+        copies = {atom: _position_mask(positions) for atom, positions in self._positions.items()}
         holding: dict[Term, int] = {}
         for position, atom in enumerate(body):
             for variable in atom.variables():
                 holding[variable] = holding.get(variable, 0) | 1 << position
-        index = self._index
+        index = TargetIndex(body)
         self._in_regime = self._regime_holds(plans, rule, gates_hold)
         # A dict keeps the first of equal steps (U's duplicate atoms repeat matches).
         steps: dict[_GuidedStep, None] = {}

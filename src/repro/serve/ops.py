@@ -251,7 +251,6 @@ def _op_analyze(session: Session, params: dict[str, Any]) -> dict[str, Any]:
     """
     from ..analysis.static import analyze
 
-    strict = _param_flag(params, "strict")
     if "dependencies" in params:
         text = _param_str(params, "dependencies")
         try:
@@ -272,7 +271,7 @@ def _op_analyze(session: Session, params: dict[str, Any]) -> dict[str, Any]:
     except ParseError as exc:
         raise ProtocolError("parse-error", f"params.queries: {exc}") from exc
     report = analyze(dependencies, queries=queries)
-    if strict and not report.ok:
+    if params.get("strict") and not report.ok:
         raise PrecheckFailedError(
             "; ".join(d.render_line() for d in report.errors),
             report=report,

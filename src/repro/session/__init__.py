@@ -16,20 +16,9 @@ functional helpers (``equivalent_under_dependencies``,
 ``decide_equivalence``, ``chase_and_backchase``) build a Session per call.
 """
 
+from .batch import BatchItem, BatchReport, decide_many, reformulate_many
 from .cache import CacheStats, ChaseCache, chase_cache_key, sigma_fingerprint
 from .engine import ChaseResultStore, Session, assert_proposition_6_1
-
-#: Served from :mod:`repro.session.batch`, which is imported on first use:
-#: a process that never runs a batch does not load it.
-_BATCH_NAMES = frozenset({"BatchItem", "BatchReport", "decide_many", "reformulate_many"})
-
-
-def __getattr__(name: str) -> object:
-    if name not in _BATCH_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import batch
-
-    return getattr(batch, name)
 
 __all__ = [
     "BatchItem",

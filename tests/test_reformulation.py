@@ -3,6 +3,7 @@ reformulation algorithms (Section 6.3, Appendix A)."""
 
 from __future__ import annotations
 
+import random
 import time
 from itertools import chain, product
 
@@ -466,14 +467,7 @@ class TestVerdictTableRules:
         assert (result.candidates_examined, result.candidates_chased) == (7, 3)
         assert [len(q.body) for q in chased] == [3, 1, 1, 1]
         assert len(result.reformulations) == 3
-        # Under bag semantics rule 5 refutes the singletons and the pairs.
-        result = session.reformulate(query, "bag", check_sigma_minimality=False)
-        assert (result.candidates_examined, result.candidates_chased) == (7, 0)
-        # Bag semantics has no upward closure: outside rule 5's regime the
-        # pairs are chased too.  The tgd never fires on this query, but its
-        # conclusion predicate is not set valued, so under bag semantics
-        # its steps are not sound in every state, and condition (a) fails.
-        session = Session(dependencies=parse_dependencies("g(X) -> h(X)"))
+        # Bag semantics has no upward closure: the pairs are chased too.
         result = session.reformulate(query, "bag", check_sigma_minimality=False)
         assert (result.candidates_examined, result.candidates_chased) == (7, 6)
 
@@ -566,7 +560,7 @@ def _keyed(text, set_valued):
 class TestRuleFiveRegime:
     """Each regime condition of rule 5 that a counterexample shows necessary.
 
-    Both inputs fall outside the regime, so their candidates are chased.
+    The inputs fall outside the regime, so their candidates are chased.
     Every relation a tgd concludes is set valued, so that the tgds are sound
     in every state under bag as well as bag-set semantics.
     """
@@ -595,22 +589,130 @@ class TestRuleFiveRegime:
         assert _differences(sigma, [query]) == []
 
     @pytest.mark.parametrize("semantics", ("bag", "bag-set"))
-    def test_fd_determinants_hold_the_universal_positions(self, semantics):
-        # (c): the fd's determinant X leaves out the tgd's universal Y, so
-        # the chase of p(X,Y), p(X,Y2) equates the two fresh Z's, which no
-        # guided step can do.
+    @pytest.mark.parametrize(
+        "second_tgd, text, count",
+        [
+            # U holds p twice, so each candidate with a p atom is chased
+            # whatever the regime.
+            pytest.param("", "Q(X) :- p(X,Y), p(X,Y2)", 3, id="p-twice"),
+            # p and q once each: the regime alone keeps rule 5 off p, q.
+            pytest.param(
+                "q(X,Y) -> r(X,Y,Z)", "Q(X) :- p(X,Y), q(X,Y2)", 4, id="p-and-q"
+            ),
+        ],
+    )
+    def test_fd_determinants_hold_the_universal_positions(
+        self, semantics, second_tgd, text, count
+    ):
+        # (c): the fd's determinant X leaves out the tgds' universal Y, so
+        # the chase of the two premise atoms equates the two fresh Z's,
+        # which no guided step can do.
         sigma = _keyed(
-            """
+            f"""
             p(X,Y) -> r(X,Y,Z)
+            {second_tgd}
             r(X,Y1,Z1) & r(X,Y2,Z2) -> Z1 = Z2
             """,
             ["r"],
         )
-        query = parse_query("Q(X) :- p(X,Y), p(X,Y2)")
+        query = parse_query(text)
         result = Session(dependencies=sigma).reformulate(query, semantics)
-        assert len(result.reformulations) == 3
+        assert len(result.reformulations) == count
         assert result.candidates_chased > 0
         assert _differences(sigma, [query]) == []
+
+    def test_random_key_foreign_key_schemas(self, monkeypatch):
+        # The fuzz campaigns draw from three predicates, so their universal
+        # plans repeat predicates and rule 5 settles almost none of their
+        # candidates; these schemas put every candidate in its reach.
+        failed_closures = []
+        rederives = cb_module._VerdictTable._rederives
+
+        def spy(table, mask):
+            reached = rederives(table, mask)
+            if not reached:
+                failed_closures.append(mask)
+            return reached
+
+        monkeypatch.setattr(cb_module._VerdictTable, "_rederives", spy)
+        rng = random.Random(0)
+        differences, refuted = [], 0
+        for _ in range(100):
+            sigma, query = _key_foreign_key_case(rng)
+            differences += _differences(sigma, [query])
+            for semantics in ("bag", "bag-set"):
+                failed_closures.clear()
+                result = Session(dependencies=sigma).reformulate(query, semantics)
+                assert result.candidates_chased == 0
+                refuted += len(failed_closures)
+        # No candidate is chased, so every failed closure is a rule-5
+        # refutation.
+        assert (differences, refuted) == ([], 1856)
+
+    @pytest.mark.parametrize("semantics", ("bag", "bag-set"))
+    def test_one_closure_per_candidate_when_predicates_repeat(self, monkeypatch, semantics):
+        # Σ = ∅ puts the query in the regime, but every candidate repeats e,
+        # so rule 5 settles none of them: each costs rule 4's one closure
+        # and is chased.  A k-atom candidate has up to 8^k head-fixing maps
+        # into U, and rule 5 searches none of them.
+        query = parse_query("Q(X) :- " + ", ".join(f"e(X,Y{i})" for i in range(1, 9)))
+        closures = []
+        rederives = cb_module._VerdictTable._rederives
+        monkeypatch.setattr(
+            cb_module._VerdictTable,
+            "_rederives",
+            lambda table, mask: closures.append(mask) or rederives(table, mask),
+        )
+        result = Session(dependencies=[]).reformulate(
+            query, semantics, check_sigma_minimality=False
+        )
+        assert (result.candidates_examined, result.candidates_chased) == (255, 254)
+        assert sorted(closures) == list(range(1, 256))
+        assert len(result.reformulations) == 1
+
+
+def _key_foreign_key_case(rng):
+    """A random schema in rule 5's regime, and a query over it.
+
+    Relations r0 … r{n-1} of arity 2 or 3 are set valued and keyed on their
+    first position.  Each r_j with j > 0 is the target of one foreign key,
+    from a non-key position of an earlier relation, so U repeats no
+    predicate.  The query starts at r0 and follows foreign keys at random;
+    its non-key positions take fresh variables, or now and then one already
+    used.
+    """
+    n = rng.randint(4, 6)
+    arity = [rng.choice((2, 3)) for _ in range(n)]
+    lines = []
+    for i in range(n):
+        for p in range(1, arity[i]):
+            left = ["K"] + [f"A{q}" if q != p else "V1" for q in range(1, arity[i])]
+            right = ["K"] + [f"B{q}" if q != p else "V2" for q in range(1, arity[i])]
+            lines.append(f"r{i}({','.join(left)}) & r{i}({','.join(right)}) -> V1 = V2")
+    foreign_keys = {}
+    for j in range(1, n):
+        i = rng.randrange(j)
+        p = rng.randrange(1, arity[i])
+        source = ",".join(f"X{q}" for q in range(arity[i]))
+        target = ",".join([f"X{p}"] + [f"Z{q}" for q in range(1, arity[j])])
+        lines.append(f"r{i}({source}) -> r{j}({target})")
+        foreign_keys.setdefault(i, []).append((p, j))
+    sigma = _keyed("\n".join(lines), [f"r{i}" for i in range(n)])
+    fresh = (f"Y{k}" for k in range(100))
+    body = {0: ["X"] + [next(fresh) for _ in range(1, arity[0])]}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for p, j in foreign_keys.get(i, ()):
+            if rng.random() < 0.5:
+                used = [term for terms in body.values() for term in terms]
+                body[j] = [body[i][p]] + [
+                    rng.choice(used) if rng.random() < 0.2 else next(fresh)
+                    for _ in range(1, arity[j])
+                ]
+                frontier.append(j)
+    atoms = ", ".join(f"r{i}({','.join(terms)})" for i, terms in body.items())
+    return sigma, parse_query(f"Q(X) :- {atoms}")
 
 
 def _exhaustively_sigma_minimal(session, query, semantics):

@@ -254,11 +254,6 @@ class TestErrorPaths:
         )
         assert response["error"]["code"] == "invalid-request"
         assert "params.minimal_only" in response["error"]["message"]
-        response = client.request(
-            "analyze", {"dependencies": CYCLIC, "strict": value}, check=False
-        )
-        assert response["error"]["code"] == "invalid-request"
-        assert "params.strict" in response["error"]["message"]
 
     def test_internal_error_is_logged(self, ex41, caplog):
         """An unanticipated failure answers ``internal`` and logs one error."""
