@@ -117,7 +117,7 @@ __version__ = "1.0.0"
 
 #: Public names of the subpackages the engine does not import, each imported
 #: on first access (PEP 562), so that ``import repro`` loads the engine alone:
-#: about 0.7 MB less resident memory (CPython 3.11) and a faster start for a
+#: about 0.5 MB less resident memory (CPython 3.11) and a faster start for a
 #: process that only chases, decides and reformulates.
 _LAZY = {
     name: subpackage

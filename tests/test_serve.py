@@ -248,7 +248,7 @@ class TestErrorPaths:
         assert "params.semantics" in response["error"]["message"]
 
     @pytest.mark.parametrize("value", ["false", 1])
-    def test_flag_that_is_no_boolean(self, client, ex41, value):
+    def test_minimal_only_that_is_no_boolean(self, client, ex41, value):
         response = client.request(
             "reformulate", {"query": _q(ex41.q4), "minimal_only": value}, check=False
         )
