@@ -326,10 +326,12 @@ _SHM_HEADER = struct.Struct("<Q")
 class SharedInternSnapshot:
     """An intern snapshot published once into shared memory.
 
-    The *creating* process (the serve acceptor, or a Session about to build
-    a batch pool) calls :meth:`create`, keeps the object alive for as long as
-    workers may attach (respawned workers re-attach the same segment), and
-    calls :meth:`destroy` when done.  Each *worker* calls
+    The *creating* process (the serve acceptor for its lifetime, or a
+    concurrent batch for one call, both through
+    :meth:`repro.session.batch.WorkerSpec.published`) calls :meth:`create`,
+    keeps the object alive for as long as workers may attach (respawned
+    workers re-attach the same segment), and calls :meth:`destroy` when
+    done.  Each *worker* calls
     :meth:`attach_and_pin` with the segment :attr:`name`; the worker copies
     the payload out, pins the terms, and detaches immediately — the segment
     is only held open for the duration of the call.

@@ -11,27 +11,15 @@ respawn, ``overloaded`` backpressure, and delta-coherent per-worker caches.
 Terminal chase results persist to disk so restarts and respawned workers
 start warm (:class:`ChaseStore`, keyed by a stable digest of the session's
 chase-cache key), and the process's intern-table snapshot ships to worker
-processes so they stop re-interning from scratch — once, through shared
-memory (:class:`~repro.core.terms.SharedInternSnapshot`), with the pickled
-:func:`~repro.core.terms.export_interned_terms` /
-:func:`~repro.core.terms.pin_interned_terms` handoff as the fallback.
+processes so they stop re-interning from scratch
+(:meth:`~repro.session.batch.WorkerSpec.published`).
 
 :class:`ReproClient` is the matching blocking client used by tests, the
 ``repro client`` subcommand, and the CI smoke job.
 """
 
-from ..core.terms import (
-    SharedInternSnapshot,
-    export_interned_terms,
-    pin_interned_terms,
-)
 from .client import ClientError, ReproClient, ServerError
-from .pool import (
-    ProcessEngineBackend,
-    RemoteEngineError,
-    ThreadEngineBackend,
-    WorkerSpec,
-)
+from .pool import ProcessEngineBackend, RemoteEngineError, ThreadEngineBackend
 from .protocol import (
     DEFAULT_TIMEOUT,
     ERROR_CODES,
@@ -56,11 +44,7 @@ __all__ = [
     "ReproServer",
     "ServerError",
     "ServerHandle",
-    "SharedInternSnapshot",
     "StoreError",
     "ThreadEngineBackend",
-    "WorkerSpec",
-    "export_interned_terms",
     "key_digest",
-    "pin_interned_terms",
 ]

@@ -16,6 +16,7 @@ import functools
 from typing import Any, Callable
 
 from ..chase.incremental import ChaseDelta
+from ..chase.steps import ChaseFailedError
 from ..core.query import ConjunctiveQuery
 from ..datalog.parser import parse_atoms, parse_dependencies, parse_query
 from ..datalog.render import render_query
@@ -348,6 +349,10 @@ def error_payload_for(exc: BaseException) -> tuple[str, str, dict[str, Any]] | N
         return (exc.code, str(exc), {})
     if isinstance(exc, ChaseNonTerminationError):
         return ("chase-failed", str(exc), {"steps_taken": exc.steps_taken})
+    if isinstance(exc, ChaseFailedError):
+        # An egd equated two distinct constants: the query is unsatisfiable
+        # under Σ, so the chase has no result to decide or reformulate with.
+        return ("chase-failed", str(exc), {"reason": "unsatisfiable"})
     if isinstance(exc, DeltaRejectedError):
         return ("delta-rejected", str(exc), {"reason": exc.reason})
     if isinstance(exc, PrecheckFailedError):

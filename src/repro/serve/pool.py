@@ -18,15 +18,22 @@ matter which backend served it.
 
 The process pool's design points:
 
-* **One engine everywhere.**  Each worker rebuilds its Session from the
-  picklable :class:`WorkerSpec` (Σ, step budget, default semantics, precheck
-  mode); nothing else the acceptor's Session holds changes an answer, so
-  every worker answers a request as the acceptor's Session would.
-* **Warm starts.**  Each worker attaches the parent's shared-memory intern
-  snapshot (:class:`~repro.core.terms.SharedInternSnapshot` — serialized
-  once, attached by every spawn and respawn) and opens its own handle on
+* **One engine everywhere.**  Each worker builds its Session from the
+  picklable :class:`~repro.session.batch.WorkerSpec` of the acceptor's
+  Session (Σ, step budget, default semantics, precheck mode, cache size),
+  the spec concurrent batch workers boot from too; nothing else the
+  acceptor's Session holds changes an answer, so every worker answers a
+  request as the acceptor's Session would.
+* **Warm starts.**  Each worker pins the parent's intern snapshot, which
+  :meth:`~repro.session.batch.WorkerSpec.published` serializes once into
+  shared memory for every spawn and respawn, and opens its own handle on
   the digest-keyed disk :class:`~repro.serve.store.ChaseStore`, so a fresh
   worker's first request is a store hit, not a cold chase.
+* **Its own process pool.**  The daemon needs a delta broadcast to every
+  worker, respawn into the same slot and per-worker stats, which a
+  ``ProcessPoolExecutor`` cannot give; the batch keeps the executor, whose
+  chunked ``map`` a one-request-per-worker pipe would turn into a round
+  trip per item.
 * **Backpressure.**  Client requests beyond ``max_inflight`` are refused
   immediately with a structured ``overloaded`` error instead of queueing
   without bound.
@@ -54,24 +61,21 @@ import os
 import signal
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Any, Hashable, Protocol
+from dataclasses import dataclass, field
+from typing import Any
 
-from ..core.terms import SharedInternSnapshot, export_interned_terms, pin_interned_terms
-from ..dependencies.base import DependencySet
+from ..core.terms import SharedInternSnapshot
 from ..exceptions import ReproError
-from ..semantics import Semantics
 from ..session import Session
+from ..session.batch import WorkerSpec
 from ..session.engine import merge_stats
 from .ops import error_payload_for, execute_op
 from .protocol import ERROR_CODES, ProtocolError
 
 __all__ = [
-    "EngineBackend",
     "ProcessEngineBackend",
     "RemoteEngineError",
     "ThreadEngineBackend",
-    "WorkerSpec",
 ]
 
 logger = logging.getLogger(__name__)
@@ -100,23 +104,6 @@ class RemoteEngineError(ReproError):
         super().__init__(message)
         self.code = code
         self.detail = dict(detail or {})
-
-
-class EngineBackend(Protocol):
-    """What the acceptor needs from an engine backend."""
-
-    kind: str
-
-    async def start(self) -> None: ...
-
-    async def dispatch(self, op: str, params: dict[str, Any]) -> dict[str, Any]: ...
-
-    async def stats_snapshot(self) -> dict[str, Any]: ...
-
-    async def aclose(self) -> None: ...
-
-    @property
-    def dependency_count(self) -> int: ...
 
 
 # --------------------------------------------------------------------------- #
@@ -162,21 +149,6 @@ class ThreadEngineBackend:
 # --------------------------------------------------------------------------- #
 # Worker process side
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Everything a worker process needs to build its Session (picklable)."""
-
-    dependencies: DependencySet
-    max_steps: int
-    default_semantics: Semantics
-    precheck: str | None = None
-    store_path: str | None = None
-    shm_name: str | None = None
-    #: Inline snapshot fallback for platforms without shared memory.
-    intern_snapshot: "tuple[tuple[str, Hashable], ...] | None" = None
-    cache_size: int = 4096
-
-
 def _worker_main(
     conn: "multiprocessing.connection.Connection", spec: WorkerSpec
 ) -> None:
@@ -194,29 +166,12 @@ def _worker_main(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.set_wakeup_fd(-1)
 
-    pinned = 0
-    if spec.shm_name is not None:
-        try:
-            pinned = SharedInternSnapshot.attach_and_pin(spec.shm_name)
-        except (FileNotFoundError, OSError):
-            pinned = 0
-    if not pinned and spec.intern_snapshot:
-        pinned = pin_interned_terms(spec.intern_snapshot)
-
     store = None
     if spec.store_path is not None:
         from .store import ChaseStore
 
         store = ChaseStore(spec.store_path)
-    session = Session(
-        dependencies=spec.dependencies,
-        default_semantics=spec.default_semantics,
-        max_steps=spec.max_steps,
-        cache_size=spec.cache_size,
-        store=store,
-        precheck=spec.precheck,
-        chase_resumable=True,
-    )
+    session, pinned = spec.session(store, chase_resumable=True)
     requests = 0
     sigma_version = 0
     try:
@@ -312,7 +267,6 @@ class ProcessEngineBackend:
         workers: int,
         *,
         max_inflight: int | None = None,
-        mp_context: str | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -322,7 +276,6 @@ class ProcessEngineBackend:
             max_inflight if max_inflight and max_inflight > 0
             else workers * DEFAULT_QUEUE_DEPTH
         )
-        self._ctx = multiprocessing.get_context(mp_context)
         self._workers: list[_Worker] = []
         self._pending: deque[tuple[str, dict[str, Any], "asyncio.Future[Any]"]] = deque()
         self._rids = itertools.count(1)
@@ -348,17 +301,7 @@ class ProcessEngineBackend:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._delta_lock = asyncio.Lock()
-        if self.spec.shm_name is None:
-            try:
-                self._shm = SharedInternSnapshot.create()
-            except Exception:
-                self._shm = None
-            if self._shm is not None:
-                self.spec = replace(self.spec, shm_name=self._shm.name)
-            elif self.spec.intern_snapshot is None:
-                self.spec = replace(
-                    self.spec, intern_snapshot=tuple(export_interned_terms())
-                )
+        self.spec, self._shm = self.spec.published()
         for slot in range(self.workers_target):
             self._workers.append(self._spawn_worker(slot))
 
@@ -395,8 +338,8 @@ class ProcessEngineBackend:
 
     def _spawn_worker(self, slot: int) -> _Worker:
         assert self._loop is not None
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
+        parent_conn, child_conn = multiprocessing.Pipe()
+        process = multiprocessing.Process(
             target=_worker_main,
             args=(child_conn, self.spec),
             name=f"repro-serve-worker-{slot}",

@@ -54,7 +54,9 @@ ERROR_CODES = (
     "invalid-request",  # structurally wrong request (missing op, bad params)
     "unknown-op",  # op not in OPS
     "unknown-semantics",  # semantics name the session cannot dispatch on
-    "chase-failed",  # the chase exhausted its step budget
+    # the chase exhausted its step budget (carries 'steps_taken'), or an egd
+    # equated two constants: the query is unsatisfiable (reason 'unsatisfiable')
+    "chase-failed",
     "delta-rejected",  # an apply-delta edit is structurally invalid (carries 'reason')
     "precheck-failed",  # the static analyzer refused Σ (strict analyze/precheck)
     "timeout",  # the per-request wall-clock budget ran out

@@ -41,14 +41,10 @@ import time
 from typing import Any
 
 from ..session import Session, strategies
+from ..session.batch import WorkerSpec
 from ..session.engine import ChaseResultStore
 from .ops import error_payload_for, execute_op  # noqa: F401  (execute_op re-exported)
-from .pool import (
-    ProcessEngineBackend,
-    RemoteEngineError,
-    ThreadEngineBackend,
-    WorkerSpec,
-)
+from .pool import ProcessEngineBackend, RemoteEngineError, ThreadEngineBackend
 from .protocol import (
     DEFAULT_TIMEOUT,
     MAX_REQUEST_BYTES,
@@ -113,17 +109,8 @@ class ReproServer:
             # parent never chases — each worker opens its own handle on the
             # store path and warms from disk at spawn and respawn.
             store_obj = store if store is not None else session.store
-            store_path = getattr(store_obj, "path", None)
-            sigma = session.dependencies
             self.backend = ProcessEngineBackend(
-                WorkerSpec(
-                    dependencies=sigma,
-                    max_steps=session.max_steps,
-                    default_semantics=session.default_semantics,
-                    precheck=session.precheck if session.precheck != "off" else None,
-                    store_path=str(store_path) if store_path is not None else None,
-                    cache_size=getattr(session.cache, "maxsize", 4096),
-                ),
+                WorkerSpec.of(session, getattr(store_obj, "path", None)),
                 workers,
                 max_inflight=max_inflight,
             )

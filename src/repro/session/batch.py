@@ -9,18 +9,26 @@ other thousand).
 Sequentially, items share the calling session's chase cache — a workload
 whose pairs overlap chases each distinct (query, semantics) once.  With
 ``concurrency=N`` the items are fanned out over N worker processes, each
-owning its own session (and cache) initialized once per process; results
-stream back in input order.
+owning its own session (and cache) built from a :class:`WorkerSpec` of the
+calling session; results come back in input order.  The worker processes
+and the shared-memory intern snapshot that warms them are started for one
+call and gone when it returns, so a Session owns no processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, Sequence
 
 from ..core.aggregate import AggregateQuery
 from ..core.query import ConjunctiveQuery
 from ..dependencies.base import DependencySet
+from ..semantics import Semantics
+
+if TYPE_CHECKING:
+    from ..core.terms import SharedInternSnapshot
+    from .engine import ChaseResultStore, Session
 
 _CHUNKSIZE = 8
 
@@ -99,68 +107,149 @@ class BatchReport:
 
 
 # --------------------------------------------------------------------------- #
-# Worker-process plumbing.  One Session per process, created by the pool
-# initializer; payloads and results must stay picklable.
+# Engine workers.  One WorkerSpec boots every engine worker process: the
+# concurrent batch's (below) and the serve daemon's
+# (:func:`repro.serve.pool._worker_main`).  Payloads and results must stay
+# picklable.
 # --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class WorkerSpec:
+    """What an engine worker needs to answer as its parent Session would.
+
+    Picklable: the spec travels to each worker when it starts.  Nothing
+    else a Session holds changes an answer.
+    """
+
+    dependencies: DependencySet
+    max_steps: int
+    default_semantics: Semantics
+    precheck: str = "off"
+    cache_size: int = 4096
+    store_path: str | None = None
+    shm_name: str | None = None
+    #: Inline snapshot fallback for platforms without shared memory.
+    intern_snapshot: "tuple[tuple[str, Hashable], ...] | None" = None
+
+    @classmethod
+    def of(cls, session: "Session", store_path: str | None = None) -> "WorkerSpec":
+        """The spec of a worker that answers as *session* does."""
+        return cls(
+            dependencies=session.dependencies,
+            max_steps=session.max_steps,
+            default_semantics=session.default_semantics,
+            precheck=session.precheck,
+            cache_size=session.cache.maxsize,
+            store_path=store_path,
+        )
+
+    def published(self) -> "tuple[WorkerSpec, SharedInternSnapshot | None]":
+        """This spec carrying the live intern snapshot, and the segment holding it.
+
+        The snapshot is serialized once into shared memory, which every
+        worker (and every respawn) attaches; where that fails, it travels
+        inline in the spec and the segment is ``None``.  The caller owns the
+        segment and destroys it once its workers are gone.
+        """
+        from ..core.terms import SharedInternSnapshot, export_interned_terms
+
+        try:
+            shm = SharedInternSnapshot.create()
+        except Exception:
+            return replace(self, intern_snapshot=tuple(export_interned_terms())), None
+        return replace(self, shm_name=shm.name), shm
+
+    def session(
+        self, store: "ChaseResultStore | None" = None, *, chase_resumable: bool = False
+    ) -> "tuple[Session, int]":
+        """Pin the published snapshot, then build the worker's Session.
+
+        Returns the Session and the number of terms pinned.  Pinning warms
+        the worker's intern tables with the parent's vocabulary before the
+        first payload arrives, and keeps the weak tables from dropping those
+        terms between items.  Under the fork start method the tables are
+        inherited and this is nearly free; under spawn it replaces
+        re-interning from an empty table.  A missing segment (the parent
+        already shut down) means a cold start, never a failure.
+        """
+        from ..core.terms import SharedInternSnapshot, pin_interned_terms
+        from .engine import Session
+
+        pinned = 0
+        if self.shm_name is not None:
+            try:
+                pinned = SharedInternSnapshot.attach_and_pin(self.shm_name)
+            except OSError:
+                pinned = 0
+        if not pinned and self.intern_snapshot:
+            pinned = pin_interned_terms(self.intern_snapshot)
+        session = Session(
+            dependencies=self.dependencies,
+            default_semantics=self.default_semantics,
+            max_steps=self.max_steps,
+            cache_size=self.cache_size,
+            store=store,
+            precheck=self.precheck,
+            chase_resumable=chase_resumable,
+        )
+        return session, pinned
+
+
+#: The Session of a batch worker process, built once by the pool initializer.
 _WORKER_SESSION: Any = None
 
 
-def _init_worker(
-    dependencies: DependencySet,
-    max_steps: int,
-    intern_snapshot: "list[tuple[str, Hashable]] | None" = None,
-    shm_name: str | None = None,
-) -> None:
+def _init_worker(spec: WorkerSpec) -> None:
     global _WORKER_SESSION
-    from ..core.terms import SharedInternSnapshot, pin_interned_terms
-    from .engine import Session
-
-    # Warm the worker's intern tables with the parent's live vocabulary
-    # before the first payload arrives, and pin the terms so the weak
-    # tables cannot drop them between items.  Under the fork start
-    # method the tables are inherited and this is nearly free; under
-    # spawn it replaces per-payload re-interning from an empty table.
-    # The shared-memory segment is preferred — the parent serialized the
-    # snapshot exactly once — with the inline pickle as the fallback for
-    # platforms without shared memory (and a missing segment just means a
-    # cold start, never a failure).
-    pinned = False
-    if shm_name is not None:
-        try:
-            SharedInternSnapshot.attach_and_pin(shm_name)
-            pinned = True
-        except (FileNotFoundError, OSError):
-            pinned = False
-    if not pinned and intern_snapshot:
-        pin_interned_terms(intern_snapshot)
-    _WORKER_SESSION = Session(dependencies=dependencies, max_steps=max_steps)
+    _WORKER_SESSION, _ = spec.session()
 
 
-def _decide_worker(payload):
-    index, q1, q2, semantics, max_steps = payload
+def _decide_item(session, pair, semantics, steps):
+    return session.decide(pair[0], pair[1], semantics, steps)
+
+
+def _reformulate_item(session, query, semantics, steps, explicit, kwargs):
+    # Aggregate queries choose their own semantics (Theorem 6.3) unless the
+    # caller asked for one: the resolved session default is not forced on them.
+    if isinstance(query, AggregateQuery) and not explicit:
+        semantics = None
+    return session.reformulate(query, semantics, steps, **kwargs)
+
+
+def _run_item(item_function, session, args) -> tuple:
+    """``(result, error, error_type)`` of one item, on *session*."""
     try:
-        verdict = _WORKER_SESSION.decide(q1, q2, semantics, max_steps)
-        return index, verdict, None, None
-    except Exception as exc:  # per-item capture: one bad pair must not sink the batch
-        return index, None, str(exc), type(exc).__name__
+        return item_function(session, *args), None, None
+    except Exception as exc:  # per-item capture: one bad input must not sink the batch
+        return None, str(exc), type(exc).__name__
 
 
-def _reformulate_worker(payload):
-    index, query, semantics, max_steps, kwargs = payload
+def _run_item_in_worker(item_function, args) -> tuple:
+    return _run_item(item_function, _WORKER_SESSION, args)
+
+
+def _run_in_workers(session, item_function, calls: list, concurrency: int) -> list:
+    """Run every call on *concurrency* worker processes started for this call.
+
+    The pool and the published intern snapshot live for this call only:
+    both are gone when it returns, whether its items succeeded or raised.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    spec, shm = WorkerSpec.of(session).published()
     try:
-        result = _WORKER_SESSION.reformulate(query, semantics, max_steps, **kwargs)
-        return index, result, None, None
-    except Exception as exc:
-        return index, None, str(exc), type(exc).__name__
-
-
-def _run_pool(session, worker, payloads, concurrency: int):
-    # The pool lives on the Session (created lazily, reused across calls,
-    # torn down on Session.close() or when Σ/max_steps change), so repeated
-    # batch calls stop paying process startup plus snapshot re-warm each
-    # time; see Session._ensure_batch_pool.
-    pool = session._ensure_batch_pool(concurrency)
-    yield from pool.map(worker, payloads, chunksize=_CHUNKSIZE)
+        with ProcessPoolExecutor(
+            max_workers=concurrency, initializer=_init_worker, initargs=(spec,)
+        ) as pool:
+            return list(
+                pool.map(
+                    partial(_run_item_in_worker, item_function),
+                    calls,
+                    chunksize=_CHUNKSIZE,
+                )
+            )
+    finally:
+        if shm is not None:
+            shm.destroy()
 
 
 # --------------------------------------------------------------------------- #
@@ -173,49 +262,24 @@ def _execute_batch(
     max_steps: int | None,
     concurrency: int | None,
     items: list,
-    make_payload,
-    worker,
-    call_in_process,
+    item_function,
+    *extra,
 ) -> BatchReport:
-    """Shared pipeline: run every item, in-process or fanned out, into a report.
+    """Shared pipeline: run every item, in process or fanned out, into a report.
 
-    ``make_payload(index, item, semantics, steps)`` builds the picklable
-    worker payload; ``call_in_process(item, semantics, steps)`` is the
-    sequential path (sharing the calling session's cache).
+    ``item_function(session, item, semantics, steps, *extra)`` runs one item,
+    on the calling session (sharing its cache) or on a worker's.
     """
     semantics = session._semantics(semantics)
     steps = session.max_steps if max_steps is None else max_steps
-    report = BatchReport(kind=kind, semantics=semantics)
-
+    calls = [(item, semantics, steps, *extra) for item in items]
     if concurrency is not None and concurrency > 1 and len(items) > 1:
-        # Payload construction gets the same per-item capture as execution:
-        # one malformed input must not sink the rest of the batch.
-        payloads = []
-        failed: dict[int, tuple[str, str]] = {}
-        for index, item in enumerate(items):
-            try:
-                payloads.append(make_payload(index, item, semantics, steps))
-            except Exception as exc:
-                failed[index] = (str(exc), type(exc).__name__)
-        outcomes: dict[int, tuple] = {
-            index: (result, error, error_type)
-            for index, result, error, error_type in _run_pool(
-                session, worker, payloads, concurrency
-            )
-        }
-        for index, (error, error_type) in failed.items():
-            outcomes[index] = (None, error, error_type)
-        for index in range(len(items)):
-            result, error, error_type = outcomes[index]
-            report.items.append(BatchItem(index, items[index], result, error, error_type))
-        return report
-
-    for index, item in enumerate(items):
-        try:
-            result, error, error_type = call_in_process(item, semantics, steps), None, None
-        except Exception as exc:
-            result, error, error_type = None, str(exc), type(exc).__name__
-        report.items.append(BatchItem(index, item, result, error, error_type))
+        outcomes = _run_in_workers(session, item_function, calls, concurrency)
+    else:
+        outcomes = [_run_item(item_function, session, args) for args in calls]
+    report = BatchReport(kind=kind, semantics=semantics)
+    for index, (item, outcome) in enumerate(zip(items, outcomes)):
+        report.items.append(BatchItem(index, item, *outcome))
     return report
 
 
@@ -230,19 +294,7 @@ def decide_many(
     # Items are materialized as-is: indexing into a malformed "pair" happens
     # inside the per-item capture, so one bad input fails only its own item.
     return _execute_batch(
-        session,
-        "decide",
-        semantics,
-        max_steps,
-        concurrency,
-        list(pairs),
-        make_payload=lambda index, pair, semantics, steps: (
-            index, pair[0], pair[1], semantics, steps
-        ),
-        worker=_decide_worker,
-        call_in_process=lambda pair, semantics, steps: session.decide(
-            pair[0], pair[1], semantics, steps
-        ),
+        session, "decide", semantics, max_steps, concurrency, list(pairs), _decide_item
     )
 
 
@@ -262,13 +314,6 @@ def reformulate_many(
     semantics keeps the direct API's contract and fails those items with
     :class:`~repro.exceptions.SemanticsError`.
     """
-    explicit = semantics is not None
-
-    def _semantics_for(query, resolved):
-        if isinstance(query, AggregateQuery) and not explicit:
-            return None
-        return resolved
-
     return _execute_batch(
         session,
         "reformulate",
@@ -276,11 +321,7 @@ def reformulate_many(
         max_steps,
         concurrency,
         list(queries),
-        make_payload=lambda index, query, semantics, steps: (
-            index, query, _semantics_for(query, semantics), steps, kwargs
-        ),
-        worker=_reformulate_worker,
-        call_in_process=lambda query, semantics, steps: session.reformulate(
-            query, _semantics_for(query, semantics), steps, **kwargs
-        ),
+        _reformulate_item,
+        semantics is not None,
+        kwargs,
     )

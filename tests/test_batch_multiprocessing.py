@@ -2,15 +2,24 @@
 
 The in-process pipeline is exercised throughout ``tests/test_session.py``;
 these tests pin down the fan-out path: input-order results, per-item error
-capture inside workers *and* during payload construction, and chase-cache
-isolation between the parent session and the worker processes.
+capture inside workers, chase-cache isolation between the parent session
+and the worker processes, and the batch's lifecycle: its workers and its
+shared-memory intern snapshot live for one call.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+from multiprocessing import shared_memory
+
 import pytest
 
 from repro import Session, parse_aggregate_query, parse_dependencies, parse_query
+from repro.core.terms import SharedInternSnapshot
+from repro.dependencies.base import DependencySet
+from repro.semantics import Semantics
+from repro.session.batch import WorkerSpec
 
 SIGMA = """
 p(X,Y) -> t(X,Y,W)
@@ -153,70 +162,81 @@ class TestConcurrencyGuards:
         assert session.cache_stats().misses > 0
 
 
-class TestPoolReuse:
-    """The Session-held worker pool: spawned once, reused across batches,
-    torn down on Σ change and on close()."""
+class TestBatchLifecycle:
+    """A concurrent batch starts its worker processes and publishes its
+    intern snapshot for one call; both are gone when the call returns."""
 
-    def test_pool_is_reused_across_batch_calls(self, sigma, pairs):
+    @pytest.mark.parametrize("max_steps", [None, 1], ids=["clean", "items-raise"])
+    def test_workers_exit_and_the_segment_is_unlinked(
+        self, sigma, pairs, monkeypatch, max_steps
+    ):
+        published = []
+        create = SharedInternSnapshot.create.__func__
+
+        def recording_create(cls, snapshot=None):
+            segment = create(cls, snapshot)
+            published.append(segment.name)
+            return segment
+
+        monkeypatch.setattr(
+            SharedInternSnapshot, "create", classmethod(recording_create)
+        )
+        before = set(multiprocessing.active_children())
+        # The session stays referenced: the call itself, not garbage
+        # collection of its session, must have stopped the workers.
+        session = Session(dependencies=sigma)
+        report = session.decide_many(
+            pairs, semantics="bag", max_steps=max_steps, concurrency=2
+        )
+        assert len(report) == len(pairs)
+        if max_steps is None:
+            assert report.error_count == 0
+        else:
+            assert {item.error_type for item in report.failures} == {
+                "ChaseNonTerminationError"
+            }
+        assert set(multiprocessing.active_children()) <= before
+        assert len(published) == 1
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=published[0])
+        # The session itself is untouched and keeps deciding in process.
+        assert session.decide(pairs[0][0], pairs[0][1], "bag").equivalent
+
+    def test_batch_after_sigma_change_uses_new_sigma(self, sigma, pairs):
         session = Session(dependencies=sigma)
         session.decide_many(pairs, semantics="bag", concurrency=2)
-        first_pool = session._batch_pool
-        assert first_pool is not None
-        session.decide_many(pairs, semantics="bag-set", concurrency=2)
-        assert session._batch_pool is first_pool
-        assert session.stats()["batch_pool"] == {
-            "workers": 2,
-            "pools_created": 1,
-        }
-        session.close()
-
-    def test_pool_is_rebuilt_on_concurrency_change(self, sigma, pairs):
-        session = Session(dependencies=sigma)
-        session.decide_many(pairs, semantics="bag", concurrency=2)
-        first_pool = session._batch_pool
-        session.decide_many(pairs, semantics="bag", concurrency=3)
-        assert session._batch_pool is not first_pool
-        assert session.stats()["batch_pool"]["pools_created"] == 2
-        session.close()
-
-    def test_pool_is_rebuilt_on_sigma_change(self, sigma, pairs):
-        session = Session(dependencies=sigma)
-        session.decide_many(pairs, semantics="bag", concurrency=2)
-        first_pool = session._batch_pool
         session.set_dependencies(parse_dependencies("p(X,Y) -> q(Y)"))
         q = parse_query
         new_pairs = [(q("Q(X) :- p(X,Y)"), q("Q(X) :- p(X,Y), q(Y)"))] * 2
         report = session.decide_many(new_pairs, semantics="set", concurrency=2)
-        assert all(item.ok for item in report)
-        assert session._batch_pool is not first_pool
-        assert session.stats()["batch_pool"]["pools_created"] == 2
-        session.close()
+        # Under the old Σ nothing derives q, so only the new Σ makes these equivalent.
+        assert [bool(item.result) for item in report] == [True, True]
 
-    def test_close_tears_the_pool_down(self, sigma, pairs):
-        session = Session(dependencies=sigma)
-        session.decide_many(pairs, semantics="bag", concurrency=2)
-        assert session._batch_pool is not None
-        had_shm = session._batch_shm
-        session.close()
-        assert session._batch_pool is None
-        assert session._batch_pool_key is None
-        assert session._batch_shm is None
-        if had_shm is not None:
-            # The shared-memory intern snapshot was unlinked with the pool.
-            import multiprocessing.shared_memory as shm_mod
 
-            with pytest.raises(FileNotFoundError):
-                shm_mod.SharedMemory(name=had_shm.name)
-
-    def test_close_is_idempotent_and_session_still_decides(self, sigma, pairs):
-        session = Session(dependencies=sigma)
-        session.decide_many(pairs, semantics="bag", concurrency=2)
-        session.close()
-        session.close()
-        # In-process work is unaffected by pool teardown...
-        assert session.decide(pairs[0][0], pairs[0][1], "bag").equivalent
-        # ...and a new batch simply builds a fresh pool.
-        report = session.decide_many(pairs, semantics="bag", concurrency=2)
-        assert all(item.ok for item in report)
-        assert session.stats()["batch_pool"]["pools_created"] == 2
-        session.close()
+class TestWorkerSpec:
+    def test_a_worker_session_keeps_the_parent_settings(self, ex41):
+        # Σ without its set-valued markers: the schema adds them back.
+        parent = Session(
+            ex41.schema,
+            DependencySet(ex41.dependencies.dependencies),
+            cache_size=64,
+            default_semantics="bag",
+            max_steps=500,
+            precheck="warn",
+        )
+        worker, _ = WorkerSpec.of(parent).session()
+        assert worker.dependencies.set_valued_predicates == frozenset({"s", "t"})
+        assert worker.dependencies.set_valued_predicates == (
+            parent.dependencies.set_valued_predicates
+        )
+        assert list(worker.dependencies) == list(parent.dependencies)
+        assert worker.max_steps == 500
+        assert worker.default_semantics is Semantics.BAG
+        assert worker.precheck == "warn"
+        assert worker.cache.maxsize == 64
+        queries = [ex41.q1, ex41.q2, ex41.q3, ex41.q4]
+        for semantics in ("set", "bag", "bag-set"):
+            for q1, q2 in itertools.combinations(queries, 2):
+                assert bool(worker.decide(q1, q2, semantics)) == bool(
+                    parent.decide(q1, q2, semantics)
+                ), (semantics, q1, q2)

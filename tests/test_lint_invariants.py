@@ -106,6 +106,24 @@ def test_detects_forbidden_import(tmp_path):
     assert len(findings) == 2
 
 
+def test_detects_process_start_outside_the_pool_modules(tmp_path):
+    source = (
+        "import multiprocessing\n"
+        "import concurrent.futures\n"
+        "from multiprocessing import Process, shared_memory\n"
+        "from multiprocessing.shared_memory import SharedMemory\n"
+        "from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor\n"
+        "pool = concurrent.futures.ProcessPoolExecutor(2)\n"
+    )
+    findings = lint_invariants.lint_paths(_tree(tmp_path, source), frozen_checksums={})
+    assert _rules(findings) == ["process-start"]
+    assert [finding.line for finding in findings] == [1, 3, 5, 6]
+    allowed = _tree(tmp_path, source, name="session/batch.py")
+    assert [
+        finding.path for finding in lint_invariants.lint_paths(allowed, frozen_checksums={})
+    ] == ["src/repro/offender.py"] * 4
+
+
 def test_relative_imports_are_not_flagged(tmp_path):
     root = _tree(tmp_path, "from . import base\nfrom .base import TGD\n")
     assert lint_invariants.lint_paths(root, frozen_checksums={}) == []

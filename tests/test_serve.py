@@ -297,6 +297,29 @@ class TestErrorPaths:
                 # The failure did not take the server down.
                 assert client.health()["status"] == "ok"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unsatisfiable_query_answers_chase_failed(self, workers):
+        """An egd equating two constants answers chase-failed, not internal."""
+        session = Session(dependencies=parse_dependencies("p(K,A) & p(K,B) -> A = B"))
+        unsatisfiable = "Q(K) :- p(K,7), p(K,0)"
+        requests = [
+            ("decide", {"query": unsatisfiable, "other": "Q(K) :- p(K,7)"}),
+            ("reformulate", {"query": unsatisfiable}),
+        ]
+        with ReproServer(session, port=0, workers=workers).start_in_thread() as handle:
+            with ReproClient(handle.host, handle.port) as client:
+                for op, params in requests:
+                    response = client.request(op, {**params, "semantics": "set"}, check=False)
+                    assert response["error"]["code"] == "chase-failed", op
+                    assert response["error"]["reason"] == "unsatisfiable", op
+                    # The daemon serves the next request.
+                    verdict = client.request(
+                        "decide",
+                        {"query": "Q(K) :- p(K,7)", "other": "Q(K) :- p(K,7), p(K,A)",
+                         "semantics": "set"},
+                    )
+                    assert verdict["equivalent"] is True
+
     def test_timeout_is_structured_and_non_fatal(self, ex41):
         """A request over budget gets a timeout error; the server survives."""
         session = Session(dependencies=ex41.dependencies)

@@ -445,9 +445,8 @@ class TestKeyMemoBound:
     def test_memo_is_bounded_by_the_cache_size(self):
         from repro.core.atoms import Atom
         from repro.core.query import ConjunctiveQuery
-        from repro.session.cache import ChaseCache
 
-        session = self._session(cache=ChaseCache(8))
+        session = self._session(cache_size=8)
         queries = [
             ConjunctiveQuery("Q", ["X"], [Atom(f"memo_bound_p{i}", ["X"])])
             for i in range(32)
@@ -480,9 +479,8 @@ class TestKeyMemoBound:
         """A repeatedly used query is not evicted by newer one-off queries."""
         from repro.core.atoms import Atom
         from repro.core.query import ConjunctiveQuery
-        from repro.session.cache import ChaseCache
 
-        session = self._session(cache=ChaseCache(4))
+        session = self._session(cache_size=4)
         hot = ConjunctiveQuery("Q", ["X"], [Atom("memo_hot_p", ["X"])])
         session.chase(hot, "set")
         profile_before = session.chase_profile()

@@ -23,6 +23,11 @@ invariants explicit and machine-checked:
   never change silently; their content checksums are pinned here.
 * **R5 forbidden-import** — ``networkx`` was removed as a dependency; no
   module under ``src/repro`` may import it again.
+* **R6 process-start** — ``ProcessPoolExecutor`` and any ``multiprocessing``
+  import other than ``shared_memory`` are allowed only in the modules that
+  own a worker pool: the batch (``session/batch.py``), the serve daemon
+  (``serve/pool.py``) and the fuzz campaign's oracle (``fuzz/runner.py``).
+  Engine workers boot from one spec; a fourth pool would grow its own.
 
 Run as ``python tools/lint_invariants.py`` from the repository root (CI
 does); exits 1 if any invariant is violated.  The ``lint_paths`` function
@@ -80,6 +85,15 @@ FROZEN_CHECKSUMS = {
 #: Imports banned under ``src/repro`` (removed third-party dependencies).
 FORBIDDEN_IMPORTS = frozenset({"networkx"})
 
+#: The only modules that may start worker processes (R6).
+PROCESS_STARTERS = frozenset(
+    {
+        "src/repro/session/batch.py",
+        "src/repro/serve/pool.py",
+        "src/repro/fuzz/runner.py",
+    }
+)
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -109,10 +123,21 @@ class _InvariantVisitor(ast.NodeVisitor):
         self.findings = findings
         self.in_interned_home = rel_path in INTERNED_HOME
         self.may_mutate_frozen = rel_path in FROZEN_MUTATORS
+        self.may_start_processes = rel_path in PROCESS_STARTERS
 
     def _flag(self, rule: str, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
         self.findings.append(Finding(rule, self.rel_path, line, message))
+
+    def _flag_process_start(self, node: ast.AST, what: str) -> None:
+        if not self.may_start_processes:
+            self._flag(
+                "process-start",
+                node,
+                f"{what} starts worker processes; only "
+                + ", ".join(sorted(PROCESS_STARTERS))
+                + " may",
+            )
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if not self.in_interned_home:
@@ -172,16 +197,34 @@ class _InvariantVisitor(ast.NodeVisitor):
                     node,
                     f"import of removed dependency {root!r}",
                 )
+            if root == "multiprocessing" and alias.name != "multiprocessing.shared_memory":
+                self._flag_process_start(node, f"import {alias.name}")
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        root = (node.module or "").split(".", 1)[0]
+        module = node.module or ""
+        root = module.split(".", 1)[0]
         if node.level == 0 and root in FORBIDDEN_IMPORTS:
             self._flag(
                 "forbidden-import",
                 node,
                 f"import of removed dependency {root!r}",
             )
+        if node.level == 0:
+            for alias in node.names:
+                imported = f"{module}.{alias.name}"
+                if root == "multiprocessing" and "multiprocessing.shared_memory" not in (
+                    module,
+                    imported,
+                ):
+                    self._flag_process_start(node, f"import of {imported}")
+                elif alias.name == "ProcessPoolExecutor":
+                    self._flag_process_start(node, "ProcessPoolExecutor")
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == "ProcessPoolExecutor":
+            self._flag_process_start(node, "ProcessPoolExecutor")
         self.generic_visit(node)
 
 
