@@ -13,10 +13,15 @@ C&B inputs of the repo benchmark's ``reformulate`` workload) under the
 three semantics and records how many backchase candidates were examined
 and how many needed a chase; the baseline pins the chased count.
 Each result must equal the chase-every-candidate reference C&B
-(:mod:`repro.reformulation.reference`).
+(:mod:`repro.reformulation.reference`).  With the timer on, the tier also
+records ``reference_speedup``: the best of 3 reference runs over the
+tier's own minimum, pinned for star6, so the gate sees the backchase's
+speed as well as its chase counts.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 from _util import record
@@ -174,9 +179,13 @@ def bench_backchase_verdict_table(benchmark, workload, semantics):
         return session.reformulate(built.query, semantics)
 
     result = benchmark(run)
-    reference = chase_and_backchase_reference(
-        Session(dependencies=built.dependencies), built.query, semantics
-    )
+    reference_session = Session(dependencies=built.dependencies)
+    reference_seconds = []
+    for _ in range(3):
+        reference_session.clear_cache()
+        started = time.perf_counter()
+        reference = chase_and_backchase_reference(reference_session, built.query, semantics)
+        reference_seconds.append(time.perf_counter() - started)
     assert _outputs(result) == _outputs(reference)
     assert reference.candidates_chased == reference.candidates_examined
     record(
@@ -187,3 +196,8 @@ def bench_backchase_verdict_table(benchmark, workload, semantics):
         candidates_chased=result.candidates_chased,
         reformulations=len(result.reformulations),
     )
+    if benchmark.enabled:
+        record(
+            benchmark,
+            reference_speedup=round(min(reference_seconds) / benchmark.stats.stats.min, 1),
+        )

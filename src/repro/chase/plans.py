@@ -17,6 +17,8 @@ each dependency's atoms into :class:`~repro.core.plan.MatchPlan` int plans
   premise-predicate trigger maps shared by every run's ``TriggerIndex``;
 * :class:`AssignmentFixingRule` — Σ's chase-free Definition 4.3 verdicts
   for key-determined tgds, built lazily once per :class:`SigmaPlans`;
+* :class:`BackchaseSigma` — what C&B's verdict table needs of Σ alone, built
+  lazily once per :class:`SigmaPlans`, semantics and set-valued markers;
 * :class:`PlanCache` — a bounded LRU keyed by the
   :attr:`~repro.dependencies.base.DependencySet.plan_key` of Σ (its
   fingerprint plus the dependency display names, which the fingerprint
@@ -43,8 +45,14 @@ from ..core.plan import MatchPlan, shared_slot_links
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Constant, Term, Variable
 from ..dependencies.base import EGD, TGD, Dependency, DependencySet
-from ..dependencies.classify import extract_positional_fds, is_keyed_by_universal_positions
+from ..dependencies.classify import (
+    PositionalFD,
+    egd_as_positional_fd,
+    extract_positional_fds,
+    is_keyed_by_universal_positions,
+)
 from ..dependencies.regularize import regularize_dependencies
+from ..semantics import Semantics
 
 
 class TGDPlan:
@@ -306,6 +314,78 @@ class AssignmentFixingRule:
         return self.holds_for(query) and self.is_key_determined(tgd)
 
 
+class BackchaseSigma:
+    """The Σ side of C&B's verdict table (see :mod:`repro.reformulation.cb`).
+
+    ``guided`` lists, in Σ's order, each tgd plan whose steps can be sound in
+    every state, with whether that needs the universal plan to pass gates 2
+    and 3 of the :class:`AssignmentFixingRule`: every tgd under set
+    semantics; under bag-set a full one (Proposition 4.3) or, gated, a
+    key-determined one; under bag as under bag-set, when every conclusion
+    predicate is set valued (Theorem 4.1(1)).  ``regime`` is rule 5's
+    conditions (a), without the gates, (b) and (c); ``reach`` rule 1's tgds
+    as ``(premise, conclusion)`` bitmasks over ``predicate_bits``.
+    """
+
+    __slots__ = ("guided", "needs_gates", "regime", "predicate_bits", "reach")
+
+    def __init__(self, plans: "SigmaPlans", semantics: Semantics, set_valued: frozenset[str]):
+        rule = plans.assignment_fixing_rule()
+        guided: list[tuple[TGDPlan, bool]] = []
+        for plan in plans.tgd_plans:
+            tgd = plan.tgd
+            gated = semantics is not Semantics.SET and bool(plan.existential)
+            if gated and not rule.is_key_determined(tgd):
+                continue
+            if semantics is Semantics.BAG and not all(
+                atom.predicate in set_valued for atom in tgd.conclusion
+            ):
+                continue
+            guided.append((plan, gated))
+        self.guided = tuple(guided)
+        self.needs_gates = any(gated for _, gated in guided)
+        every_state = len(guided) == len(plans.tgd_plans)
+        self.regime = semantics is not Semantics.SET and every_state and _fd_regime(plans)
+        self.predicate_bits: dict[str, int] = {}
+        self.reach = tuple(
+            (self._bits(tgd.premise), self._bits(tgd.conclusion)) for tgd in plans.tgds
+        )
+
+    def _bits(self, atoms: Sequence[Atom]) -> int:
+        """The bits of *atoms*' predicates; a new predicate takes the next bit."""
+        bits = self.predicate_bits
+        mask = 0
+        for atom in atoms:
+            mask |= bits.setdefault(atom.predicate, 1 << len(bits))
+        return mask
+
+
+def _fd_regime(plans: "SigmaPlans") -> bool:
+    """Rule 5's conditions (b) and (c) on the compiled Σ."""
+    fds: dict[tuple[str, int], list[PositionalFD]] = {}
+    for egd in plans.egds:
+        recognised = egd_as_positional_fd(egd)
+        if recognised is None:
+            return False  # (c): an egd that is no fd
+        fds.setdefault(egd.premise[0].signature, []).append(recognised[1])
+    for plan in plans.tgd_plans:
+        conclusion = plan.tgd.conclusion
+        if len(conclusion) != 1:
+            return False  # (b)
+        terms = conclusion[0].terms
+        if any(not isinstance(term, Variable) for term in terms) or any(
+            terms.count(variable) != 1 for variable in plan.existential
+        ):
+            return False  # (b)
+        universal = frozenset(i for i, term in enumerate(terms) if term not in plan.existential)
+        if any(
+            not universal <= determinant
+            for determinant, _ in fds.get(conclusion[0].signature, ())
+        ):
+            return False  # (c)
+    return True
+
+
 class SigmaPlans:
     """Compiled plans for one dependency list, regularized first."""
 
@@ -319,6 +399,7 @@ class SigmaPlans:
         "tgd_trigger_map",
         "_sigma",
         "_af_rule",
+        "_backchase",
     )
 
     def __init__(self, dependencies: Iterable[Dependency]):
@@ -332,6 +413,7 @@ class SigmaPlans:
         self.tgd_trigger_map = _trigger_map(self.tgd_plans)
         self._sigma: DependencySet | None = None
         self._af_rule: AssignmentFixingRule | None = None
+        self._backchase: dict[tuple[Semantics, frozenset[str]], BackchaseSigma] = {}
 
     def assignment_fixing_rule(self) -> AssignmentFixingRule:
         """The chase-free Definition 4.3 rule for these items, built on first use."""
@@ -339,6 +421,16 @@ class SigmaPlans:
         if rule is None:
             rule = self._af_rule = AssignmentFixingRule(self.items)
         return rule
+
+    def backchase_sigma(
+        self, semantics: Semantics, set_valued: frozenset[str]
+    ) -> BackchaseSigma:
+        """C&B's Σ side under *semantics* and Σ's *set_valued* markers, built on first use."""
+        key = (semantics, set_valued)
+        side = self._backchase.get(key)
+        if side is None:
+            side = self._backchase[key] = BackchaseSigma(self, semantics, set_valued)
+        return side
 
     def dependency_set(self) -> DependencySet:
         """The compiled items wrapped as a :class:`DependencySet`, memoized.

@@ -102,10 +102,17 @@ class ConjunctiveQuery:
         body: Sequence[Atom],
         validate: bool = True,
     ):
+        self._fill(head_predicate, tuple(term_from_value(t) for t in head_terms), tuple(body))
+        if validate:
+            self._validate()
+
+    def _fill(
+        self, head_predicate: str, head_terms: tuple[Term, ...], body: tuple[Atom, ...]
+    ) -> None:
         set_slot = object.__setattr__
         set_slot(self, "head_predicate", head_predicate)
-        set_slot(self, "head_terms", tuple(term_from_value(t) for t in head_terms))
-        set_slot(self, "body", tuple(body))
+        set_slot(self, "head_terms", head_terms)
+        set_slot(self, "body", body)
         set_slot(self, "_hash", _UNSET)
         set_slot(self, "_structural_key", _UNSET)
         set_slot(self, "_normal_form", _UNSET)
@@ -116,8 +123,6 @@ class ConjunctiveQuery:
         set_slot(self, "_variable_names", _UNSET)
         set_slot(self, "_dedup", _UNSET)
         set_slot(self, "_body_plan", _UNSET)
-        if validate:
-            self._validate()
 
     # ------------------------------------------------------------------ #
     # Immutability, equality, pickling
@@ -351,6 +356,12 @@ class ConjunctiveQuery:
     def with_body(self, body: Sequence[Atom]) -> "ConjunctiveQuery":
         """Return a copy of the query with *body* as its new body."""
         return ConjunctiveQuery(self.head_predicate, self.head_terms, tuple(body))
+
+    def with_safe_body(self, body: tuple[Atom, ...]) -> "ConjunctiveQuery":
+        """:meth:`with_body` for a nonempty, safe *body*: not validated, head not re-coerced."""
+        query = object.__new__(ConjunctiveQuery)
+        query._fill(self.head_predicate, self.head_terms, body)
+        return query
 
     def add_atoms(self, atoms: Sequence[Atom]) -> "ConjunctiveQuery":
         """Return a copy with *atoms* appended to the body."""

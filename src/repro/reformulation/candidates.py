@@ -16,6 +16,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from ..core.query import ConjunctiveQuery
+from ..core.terms import Term
 
 
 def iter_subqueries(
@@ -42,52 +43,63 @@ def iter_indexed_subqueries(
     include_full: bool = True,
 ) -> Iterator[tuple[tuple[int, ...], ConjunctiveQuery]]:
     """:func:`iter_subqueries`, each candidate paired with its body positions in the plan."""
-    for positions in iter_subquery_positions(universal_plan, min_size, max_size, include_full):
+    for positions, _ in iter_candidates(universal_plan, min_size, max_size, include_full):
         yield positions, subquery_at(universal_plan, positions)
 
 
-def iter_subquery_positions(
+def iter_candidates(
     universal_plan: ConjunctiveQuery,
     min_size: int = 1,
     max_size: int | None = None,
     include_full: bool = True,
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """The body positions of each safe subquery of *universal_plan*, smallest first.
 
+    Each comes with its positions as a bitmask (bit *i* for position *i*).
     No query is built: a caller that can decide a candidate from its
     positions alone (the backchase's verdict table) builds only the queries
     it keeps, through :func:`subquery_at`.  A subset is safe when it meets,
-    for every head variable, the positions holding that variable.
+    for every head variable, the positions holding that variable
+    (:func:`head_holders`).
     """
     body = universal_plan.body
-    holders = [
-        frozenset(i for i, atom in enumerate(body) if variable in atom.terms)
-        for variable in universal_plan.head_variables()
-    ]
+    holders = head_holders(universal_plan)
+    bits = [1 << position for position in range(len(body))]
     upper = len(body) if max_size is None else min(max_size, len(body))
     for size in range(max(1, min_size), upper + 1):
         if size == len(body) and not include_full:
             continue
-        for positions in combinations(range(len(body)), size):
-            if all(not holding.isdisjoint(positions) for holding in holders):
-                yield positions
+        for positions, chosen in zip(
+            combinations(range(len(body)), size), combinations(bits, size)
+        ):
+            mask = sum(chosen)
+            for holder in holders:
+                if not holder & mask:
+                    break
+            else:
+                yield positions, mask
+
+
+def head_holders(universal_plan: ConjunctiveQuery) -> list[int]:
+    """Per head variable, the bitmask of the body positions holding it."""
+    holders: dict[Term, int] = {variable: 0 for variable in universal_plan.head_variables()}
+    for position, atom in enumerate(universal_plan.body):
+        for term in atom.terms:
+            if term in holders:
+                holders[term] |= 1 << position
+    return list(holders.values())
 
 
 def subquery_at(universal_plan: ConjunctiveQuery, positions: Sequence[int]) -> ConjunctiveQuery:
     """The subquery of *universal_plan* over the body atoms at *positions*.
 
-    *positions* must be nonempty and safe, as :func:`iter_subquery_positions`
+    *positions* must be nonempty and safe, as :func:`iter_candidates`
     yields them, so the query is not validated again.
     """
     body = universal_plan.body
-    return ConjunctiveQuery(
-        universal_plan.head_predicate,
-        universal_plan.head_terms,
-        tuple(body[i] for i in positions),
-        validate=False,
-    )
+    return universal_plan.with_safe_body(tuple([body[i] for i in positions]))
 
 
 def count_subquery_candidates(universal_plan: ConjunctiveQuery) -> int:
     """Number of safe subqueries the backchase would consider (diagnostics)."""
-    return sum(1 for _ in iter_subquery_positions(universal_plan))
+    return sum(1 for _ in iter_candidates(universal_plan))

@@ -135,16 +135,29 @@ chasing it by five exact rules, tried in the order 2, 1, 4, 5:
    second step, the closure from f(S) reaches U.  So if no embedding's
    closure does, the chase would have rejected S.
 
-The possible guided steps are computed once per C&B call as bitmasks over
-U's positions, so rules 4 and 5 together cost a candidate one bitmask
-closure: no query, no chase key, no chase, no equivalence test.  Every
-candidate of the repo benchmark's C&B inputs is settled without a chase:
-under bag and bag-set semantics they are in the regime and use each
-predicate once.  The rules change no output; the one observable
-difference is that a candidate settled by a rule is never chased, so it
-can no longer raise from its own chase (e.g. by exhausting its step
-budget), and its chase lands in neither the chase cache nor an attached
-store.
+**What is built when.**  What the rules need of Σ alone is built once per
+compiled Σ, semantics and set-valued markers
+(:meth:`~repro.chase.plans.SigmaPlans.backchase_sigma`): each tgd's class
+for rule 4 (sound in every state, sound when U passes gates 2 and 3, or
+never), the Σ half of rule 5's regime, and rule 1's tgds as predicate
+bitmasks.  Rule 1 reads the compiled tgds, which is exact: regularization
+(Definition 4.1) keeps each premise and only splits conclusions, so the
+predicates the tgds reach from a set of predicates do not change.  A table,
+one per C&B call, adds U's gates (asked only when a tgd needs them),
+condition (d), and the guided steps as bitmasks over U's positions, so
+rules 1, 4 and 5 cost a candidate two integer closures: no query, no chase
+key, no chase, no equivalence test.  A query is built only for a candidate
+that is chased or accepted.  An accepted candidate that meets no position
+of a predicate U holds twice skips the isomorphism test: isomorphic queries
+have equal predicate multisets, another such candidate is another subset
+of the predicates U holds once, and every other candidate holds a repeated
+predicate that it lacks.  Every candidate of the repo benchmark's C&B
+inputs is settled without a chase: under bag and bag-set semantics they
+are in the regime and use each predicate once.  The rules change no
+output; the one observable difference is that a candidate settled by a
+rule is never chased, so it can no longer raise from its own chase (e.g.
+by exhausting its step budget), and its chase lands in neither the chase
+cache nor an attached store.
 ``ReformulationResult.candidates_chased`` counts the candidates that were
 chased.  :mod:`repro.reformulation.reference` is the C&B without the table,
 which chases every candidate; the differential tests compare the two.
@@ -152,24 +165,21 @@ which chases every candidate; the differential tests compare the two.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from ..core import homomorphism
-from ..core.atoms import Atom
-from ..core.homomorphism import TargetIndex, are_isomorphic
+from ..core.homomorphism import Homomorphism, TargetIndex, are_isomorphic
+from ..core.plan import MatchPlan
 from ..core.query import ConjunctiveQuery
-from ..core.terms import Term, Variable
-from ..dependencies.base import TGD, Dependency, DependencySet
-from ..dependencies.classify import PositionalFD, egd_as_positional_fd
+from ..dependencies.base import Dependency, DependencySet
 from ..semantics import Semantics
-from ..chase.plans import AssignmentFixingRule, PlanCache, SigmaPlans, TGDPlan
+from ..chase.plans import PlanCache
 from ..chase.set_chase import DEFAULT_MAX_STEPS, ChaseResult
 from ..chase.sound_chase import sound_chase
 from ..session import strategies
-from .candidates import iter_subqueries, iter_subquery_positions, subquery_at
+from .candidates import head_holders, iter_candidates, iter_subqueries, subquery_at
 from .minimality import _candidate_substitutions, _drops_to_an_equivalent
 
 if TYPE_CHECKING:
@@ -277,10 +287,9 @@ def chase_and_backchase(
     masks: list[int] = []
     distinct = IsomorphismBuckets()
     examined = chased = 0
-    for positions in iter_subquery_positions(universal_plan, max_size=max_candidate_size):
+    for positions, mask in iter_candidates(universal_plan, max_size=max_candidate_size):
         examined += 1
-        mask = _position_mask(positions)
-        verdict = table.settle(mask)
+        verdict = table.settle(positions, mask)
         if verdict is False:
             continue
         candidate = subquery_at(universal_plan, positions)
@@ -290,7 +299,9 @@ def chase_and_backchase(
                 chase(candidate).query, universal_plan, sigma, semantics
             )
             table.record(mask, verdict)
-        if verdict and distinct.add_if_new(candidate):
+        # A candidate off U's repeated predicates has a predicate set no
+        # other candidate has, so it is isomorphic to none of them.
+        if verdict and (not mask & table.repeated or distinct.add_if_new(candidate)):
             reformulations.append(candidate)
             masks.append(mask)
 
@@ -328,45 +339,38 @@ def chase_and_backchase(
     )
 
 
-def _position_mask(positions: Sequence[int]) -> int:
-    mask = 0
-    for position in positions:
-        mask |= 1 << position
-    return mask
-
-
 #: One guided step of rule 4 as bitmasks over U's body positions:
-#: ``(premise, blocked, added, witnesses)``.  ``premise`` holds, per premise
-#: atom, the positions of its image's copies; ``added`` the positions of the
-#: conclusion's images; ``blocked`` those plus every position holding an
-#: existential variable's image; ``witnesses``, per other extension of the
-#: premise match into U, the positions of each conclusion image's copies.
-_GuidedStep = tuple[tuple[int, ...], int, int, tuple[tuple[int, ...], ...]]
+#: ``(need, choices, blocked, added, witnesses)``.  ``need`` holds the
+#: images of the premise atoms that U holds once, ``choices`` the copies of
+#: each other premise atom's image; ``added`` the conclusion's images;
+#: ``blocked`` those plus every position holding an existential variable's
+#: image; ``witnesses``, per other extension of the premise match into U,
+#: the copies of each conclusion image.  In rule 5's regime ``choices`` and
+#: ``witnesses`` are empty, and a step is two ``&`` tests.
+_GuidedStep = tuple[int, tuple[int, ...], int, int, tuple[tuple[int, ...], ...]]
 
 
 class _VerdictTable:
     """Backchase verdicts keyed by U-body positions, and the five rules.
 
-    See the module docstring for the rules and their proofs.  Positions are
-    held as bitmasks: the upward-closure test is one ``&`` per accepted
-    candidate, a minimality probe under the identity one dict probe per
-    atom, and a re-derivation one closure over the guided steps, which are
-    computed on first use, once per table, with rule 5's regime.
+    See the module docstring for the rules and their proofs.  Positions and
+    predicates are held as bitmasks: the upward-closure test is one ``&`` per
+    accepted candidate, a minimality probe under the identity one dict probe
+    per atom, a refutation and a re-derivation one closure each.
     """
 
     __slots__ = (
         "_plan",
-        "_sigma",
+        "_plans",
+        "_side",
         "_semantics",
-        "_plan_cache",
         "_verdicts",
-        "_predicates",
+        "_predicate_bits",
         "_needed",
-        "_tgds",
         "_accepted",
-        "_positions",
+        "_copies",
         "_holders",
-        "_repeated",
+        "repeated",
         "_full",
         "_steps",
         "_in_regime",
@@ -381,61 +385,64 @@ class _VerdictTable:
     ):
         body = universal_plan.body
         self._plan = universal_plan
-        self._sigma = sigma
+        self._plans = plan_cache.plans_for(sigma)
+        self._side = side = self._plans.backchase_sigma(semantics, sigma.set_valued_predicates)
         self._semantics = semantics
-        self._plan_cache = plan_cache
         self._verdicts: dict[int, bool] = {}
-        self._predicates = [atom.predicate for atom in body]
-        self._needed = frozenset(self._predicates)
-        self._tgds = [
-            (
-                frozenset(atom.predicate for atom in dependency.premise),
-                frozenset(atom.predicate for atom in dependency.conclusion),
+        #: Rule 1: each position's predicate bit, Σ's bits extended by the
+        #: predicates of U that no tgd mentions.
+        bits = side.predicate_bits
+        own: dict[str, int] = {}
+        self._predicate_bits: list[int] = []
+        #: Each atom of U, as ``(sig_id, term uids)`` → its positions.
+        self._copies: dict[tuple[int, tuple[int, ...]], int] = {}
+        seen = twice = 0
+        for position, atom in enumerate(body):
+            bit = bits.get(atom.predicate) or own.setdefault(
+                atom.predicate, 1 << (len(bits) + len(own))
             )
-            for dependency in sigma.dependencies
-            if isinstance(dependency, TGD)
-        ]
+            self._predicate_bits.append(bit)
+            twice |= seen & bit
+            seen |= bit
+            key = (atom.sig_id, atom.term_ids)
+            self._copies[key] = self._copies.get(key, 0) | 1 << position
+        self._needed = seen
+        #: The positions whose predicate U holds more than once: rule 5
+        #: settles no candidate that meets them, and only the candidates
+        #: that meet them need the isomorphism buckets.
+        self.repeated = sum(
+            1 << position for position, bit in enumerate(self._predicate_bits) if bit & twice
+        )
         #: Masks of the candidates accepted by a chase or by rule 4; under
         #: upward closure every other accepted candidate contains one of them.
         self._accepted: list[int] = []
-        #: Each atom of U → its positions, in body order.
-        self._positions: dict[Atom, list[int]] = {}
-        for position, atom in enumerate(body):
-            self._positions.setdefault(atom, []).append(position)
         #: Per head variable, the positions holding it: a subset is safe
         #: when it meets every one of them.
-        self._holders = [
-            _position_mask([i for i, atom in enumerate(body) if variable in atom.terms])
-            for variable in universal_plan.head_variables()
-        ]
-        #: The positions whose predicate U holds more than once: rule 5
-        #: settles no candidate that meets them.
-        counts = Counter(self._predicates)
-        self._repeated = _position_mask(
-            [i for i, predicate in enumerate(self._predicates) if counts[predicate] > 1]
-        )
+        self._holders = head_holders(universal_plan)
         self._full = (1 << len(body)) - 1
         self._steps: list[_GuidedStep] | None = None
         #: Whether rule 5's regime holds; decided with the guided steps,
         #: which rule 4's first closure computes.
         self._in_regime = False
 
-    def settle(self, mask: int) -> bool | None:
-        """Rules 2, 1, 4 and 5: the verdict of the candidate at *mask*, or None to chase it."""
+    def settle(self, positions: Sequence[int], mask: int) -> bool | None:
+        """Rules 2, 1, 4 and 5: the verdict of the candidate at *positions* (*mask*), or None."""
         if self._semantics is Semantics.SET and any(
             mask & accepted == accepted for accepted in self._accepted
         ):
             self._verdicts[mask] = True
             return True
-        if not self._reaches_needed(
-            {predicate for i, predicate in enumerate(self._predicates) if mask >> i & 1}
-        ):
+        held = 0
+        predicate_bits = self._predicate_bits
+        for position in positions:
+            held |= predicate_bits[position]
+        if not self._reaches_needed(held):
             self._verdicts[mask] = False
             return False
         if self._rederives(mask):
             self.record(mask, True)
             return True
-        if self._in_regime and not mask & self._repeated:
+        if self._in_regime and not mask & self.repeated:
             # Rule 5: the identity is the one embedding, and it failed.
             self._verdicts[mask] = False
             return False
@@ -452,16 +459,13 @@ class _VerdictTable:
 
         Each atom takes the first of its positions in U not taken yet.
         """
-        positions = self._positions
-        taken: dict[Atom, int] = {}
+        copies = self._copies
         mask = 0
         for atom in query.body:
-            slots = positions.get(atom)
-            used = taken.get(atom, 0)
-            if slots is None or used == len(slots):
+            free = copies.get((atom.sig_id, atom.term_ids), 0) & ~mask
+            if not free:
                 return None
-            taken[atom] = used + 1
-            mask |= 1 << slots[used]
+            mask |= free & -free
         return self._verdicts.get(mask)
 
     def drops_to_an_accepted(self, mask: int) -> bool:
@@ -481,13 +485,14 @@ class _VerdictTable:
                 return True
         return False
 
-    def _reaches_needed(self, reached: set[str]) -> bool:
-        """Can Σ's tgds, fired from the predicates *reached*, produce every predicate of U?"""
-        pending = self._tgds
-        while not self._needed <= reached:
+    def _reaches_needed(self, reached: int) -> bool:
+        """Can Σ's tgds, fired from the predicate bits *reached*, produce every predicate of U?"""
+        needed = self._needed
+        pending: Sequence[tuple[int, int]] = self._side.reach
+        while reached & needed != needed:
             waiting = []
             for premise, conclusion in pending:
-                if premise <= reached:
+                if premise & reached == premise:
                     reached |= conclusion
                 else:
                     waiting.append((premise, conclusion))
@@ -506,11 +511,15 @@ class _VerdictTable:
             waiting = []
             fired = False
             for step in pending:
-                premise, blocked, added, witnesses = step
+                need, choices, blocked, added, witnesses = step
                 if reached & blocked:
                     continue  # reached only grows, so the step stays blocked
-                if all(copies & reached for copies in premise) and not any(
-                    all(copies & reached for copies in witness) for witness in witnesses
+                if (
+                    need & reached == need
+                    and (not choices or all(copies & reached for copies in choices))
+                    and not (witnesses and any(
+                        all(copies & reached for copies in witness) for witness in witnesses
+                    ))
                 ):
                     reached |= added
                     fired = True
@@ -524,30 +533,40 @@ class _VerdictTable:
     def _guided_steps(self) -> list[_GuidedStep]:
         """Every guided step inside U of a tgd whose steps are sound in every state.
 
-        Also decides whether rule 5's regime holds.
+        Also decides whether rule 5's regime holds: Σ's half comes with the
+        tgds, and U adds gates 2 and 3, when some tgd needs them, and (d).
         """
-        plans = self._plan_cache.plans_for(self._sigma)
-        rule = plans.assignment_fixing_rule()
-        gates_hold = rule.holds_for(self._plan)
+        side = self._side
         body = self._plan.body
-        copies = {atom: _position_mask(positions) for atom, positions in self._positions.items()}
-        holding: dict[Term, int] = {}
+        # Gates 2 and 3 on U, asked only when some tgd needs them.
+        gates_hold = not side.needs_gates or self._plans.assignment_fixing_rule().holds_for(
+            self._plan
+        )
+        self._in_regime = side.regime and gates_hold and len(self._copies) == len(body)  # (d)
+        copies = self._copies
+        #: Each variable of U, by uid → the positions holding it.
+        holding: dict[int, int] = {}
         for position, atom in enumerate(body):
             for variable in atom.variables():
-                holding[variable] = holding.get(variable, 0) | 1 << position
+                holding[variable.uid] = holding.get(variable.uid, 0) | 1 << position
         index = TargetIndex(body)
-        self._in_regime = self._regime_holds(plans, rule, gates_hold)
         # A dict keeps the first of equal steps (U's duplicate atoms repeat matches).
         steps: dict[_GuidedStep, None] = {}
-        for plan in plans.tgd_plans:
-            if not self._sound_in_every_state(plan, rule, gates_hold):
+        for plan, gated in side.guided:
+            if gated and not gates_hold:
                 continue
-            tgd = plan.tgd
             for match in homomorphism.iter_matches(plan.premise, index):
-                premise = tuple(copies[atom.substitute(match)] for atom in tgd.premise)
+                need = 0
+                choices = []
+                for image in _images(plan.premise, match):
+                    held = copies[image]
+                    if held & (held - 1):
+                        choices.append(held)
+                    else:
+                        need |= held
                 extensions = list(homomorphism.iter_matches(plan.conclusion, index, match))
                 images = [
-                    tuple(copies[atom.substitute(extension)] for atom in tgd.conclusion)
+                    tuple([copies[image] for image in _images(plan.conclusion, extension)])
                     for extension in extensions
                 ]
                 for chosen, (extension, targets) in enumerate(zip(extensions, images)):
@@ -559,72 +578,30 @@ class _VerdictTable:
                         added |= target
                     if added.bit_count() != len(targets):
                         continue
-                    # Existential variables onto distinct variables.
-                    fresh = {extension[variable] for variable in plan.existential}
+                    # Existential variables onto distinct variables: only
+                    # variables have a uid in holding.
+                    fresh = {extension[variable].uid for variable in plan.existential}
                     if len(fresh) != len(plan.existential) or not all(
-                        isinstance(term, Variable) for term in fresh
+                        uid in holding for uid in fresh
                     ):
                         continue
                     blocked = added
-                    for term in fresh:
-                        blocked |= holding[term]
+                    for uid in fresh:
+                        blocked |= holding[uid]
                     witnesses = tuple(
                         witness for other, witness in enumerate(images) if other != chosen
                     )
-                    steps[(premise, blocked, added, witnesses)] = None
+                    steps[(need, tuple(choices), blocked, added, witnesses)] = None
         return list(steps)
 
-    def _regime_holds(
-        self, plans: SigmaPlans, rule: AssignmentFixingRule, gates_hold: bool
-    ) -> bool:
-        """Rule 5's regime, conditions (a)–(d) of the module docstring."""
-        if self._semantics is Semantics.SET:
-            return False  # rule 5 is for bag and bag-set semantics
-        if len(self._positions) != len(self._plan.body):
-            return False  # (d): U holds an atom twice
-        fds: dict[tuple[str, int], list[PositionalFD]] = {}
-        for egd in plans.egds:
-            recognised = egd_as_positional_fd(egd)
-            if recognised is None:
-                return False  # (c): an egd that is no fd
-            fds.setdefault(egd.premise[0].signature, []).append(recognised[1])
-        for plan in plans.tgd_plans:
-            if not self._sound_in_every_state(plan, rule, gates_hold):
-                return False  # (a)
-            conclusion = plan.tgd.conclusion
-            if len(conclusion) != 1:
-                return False  # (b)
-            atom = conclusion[0]
-            terms = atom.terms
-            if any(not isinstance(term, Variable) for term in terms) or any(
-                terms.count(variable) != 1 for variable in plan.existential
-            ):
-                return False  # (b)
-            universal = frozenset(
-                i for i, term in enumerate(terms) if term not in plan.existential
-            )
-            if any(not universal <= determinant for determinant, _ in fds.get(atom.signature, ())):
-                return False  # (c)
-        return True
 
-    def _sound_in_every_state(
-        self, plan: TGDPlan, rule: AssignmentFixingRule, gates_hold: bool
-    ) -> bool:
-        """Is every step of *plan*'s tgd on a sub-multiset of U sound under the semantics?
-
-        *gates_hold* is *rule*'s gates 2 and 3 on U; when they hold there, they
-        hold on every sub-multiset of U.
-        """
-        if self._semantics is Semantics.SET:
-            return True
-        tgd = plan.tgd
-        # Theorem 4.1(1): under bag semantics every added subgoal must be set valued.
-        if self._semantics is Semantics.BAG and not all(
-            atom.predicate in self._sigma.set_valued_predicates for atom in tgd.conclusion
-        ):
-            return False
-        # Proposition 4.3, or the assignment-fixing rule's three gates.
-        return not plan.existential or (gates_hold and rule.is_key_determined(tgd))
+def _images(plan: MatchPlan, match: Homomorphism) -> list[tuple[int, tuple[int, ...]]]:
+    """Each atom of *plan* under *match*, as ``(sig_id, term uids)``, without building it."""
+    uids = [match[variable].uid for variable in plan.slot_vars]
+    return [
+        (sig_id, tuple([uids[code] if code >= 0 else ~code for code in codes]))
+        for sig_id, codes in zip(plan.sig_ids, plan.codes)
+    ]
 
 
 class IsomorphismBuckets:

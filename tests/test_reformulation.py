@@ -10,6 +10,8 @@ from itertools import chain, product
 import pytest
 
 import repro.reformulation.cb as cb_module
+from repro.chase.incremental import ChaseDelta
+from repro.chase.plans import BackchaseSigma, PlanCache
 from repro.chase.set_chase import DEFAULT_MAX_STEPS
 from repro.chase.steps import ChaseFailedError
 from repro.core import are_isomorphic
@@ -301,7 +303,13 @@ def _differences(dependencies, queries, max_steps=DEFAULT_MAX_STEPS, **kwargs):
     Both run on one session, whose chase cache is cleared before each query,
     so the reference chases only what C&B skipped.
     """
-    session = Session(dependencies=dependencies, max_steps=max_steps)
+    return _session_differences(
+        Session(dependencies=dependencies, max_steps=max_steps), queries, **kwargs
+    )
+
+
+def _session_differences(session, queries, **kwargs):
+    """:func:`_differences` on *session*, under its current Σ."""
 
     def reference(query, semantics, **options):
         return chase_and_backchase_reference(session, query, semantics, **options)
@@ -552,6 +560,50 @@ class TestVerdictTableRules:
         assert len(calls) == 1
         assert len(result.reformulations) == 2
 
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_candidates_off_repeated_predicates_skip_the_buckets(self, monkeypatch, semantics):
+        # star6 repeats no predicate, so no accepted candidate is bucketed.
+        calls = []
+        monkeypatch.setattr(
+            cb_module, "are_isomorphic", lambda q1, q2: calls.append((q1, q2)) or True
+        )
+        monkeypatch.setattr(
+            cb_module.IsomorphismBuckets,
+            "add_if_new",
+            lambda buckets, query: calls.append(query) or True,
+        )
+        star = star_workload(6)
+        result = Session(dependencies=star.dependencies).reformulate(star.query, semantics)
+        assert len(result.reformulations) == 64
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "sigma, text, counts",
+        [
+            pytest.param("", "Q(X) :- e(X,Y1), e(X,Y2), f(Y1)", (2, 1, 1), id="e-twice"),
+            pytest.param(
+                "hub(X) -> s(X,Y)", "Q(X) :- hub(X), s(X,Y1), s(X,Y2)", (3, 1, 1),
+                id="two-spokes",
+            ),
+            pytest.param(
+                "hub(X) -> s(X,Y) & t(Y)",
+                "Q(X) :- hub(X), s(X,Y1), t(Y1), s(X,Y2), t(Y2)",
+                (10, 1, 1),
+                id="two-branches",
+            ),
+        ],
+    )
+    def test_repeated_predicates_keep_one_reformulation_per_class(self, sigma, text, counts):
+        # Only the candidates that meet a repeated predicate are bucketed;
+        # hub alone is not, and is isomorphic to no other candidate.
+        dependencies = parse_dependencies(sigma) if sigma else []
+        query = parse_query(text)
+        session = Session(dependencies=dependencies)
+        assert tuple(
+            len(session.reformulate(query, semantics).reformulations) for semantics in SEMANTICS
+        ) == counts
+        assert _differences(dependencies, [query]) == []
+
 
 def _keyed(text, set_valued):
     return DependencySet(parse_dependencies(text).dependencies, set_valued_predicates=set_valued)
@@ -669,6 +721,83 @@ class TestRuleFiveRegime:
         assert (result.candidates_examined, result.candidates_chased) == (255, 254)
         assert sorted(closures) == list(range(1, 256))
         assert len(result.reformulations) == 1
+
+
+class TestBackchaseSigma:
+    """The verdict table's Σ side, built once per compiled Σ, semantics and set-valued markers."""
+
+    def test_set_valued_markers_key_the_sigma_side(self):
+        # Theorem 4.1(1): under bag semantics the foreign-key tgds are sound
+        # only when customer and product are set valued.
+        orders = orders_workload()
+        marked = orders.dependencies
+        unmarked = DependencySet(marked.dependencies)
+        cache = PlanCache()
+        results = [
+            Session(dependencies=sigma, plan_cache=cache).reformulate(orders.query, "bag")
+            for sigma in (marked, unmarked)
+        ]
+        assert [len(result.reformulations) for result in results] == [4, 1]
+        for sigma in (marked, unmarked):
+            assert _differences(sigma, [orders.query]) == []
+        plans = cache.plans_for(marked)
+        assert len(plans.backchase_sigma(Semantics.BAG, marked.set_valued_predicates).guided) == 2
+        assert plans.backchase_sigma(Semantics.BAG, frozenset()).guided == ()
+
+    def test_a_new_sigma_gets_its_own_side(self):
+        star = star_workload(6)
+        query = parse_query("Q(X) :- hub(X), s1(X,Y)")
+        session = Session(dependencies=[])
+        for semantics in SEMANTICS:
+            session.reformulate(query, semantics)
+        session.set_dependencies(star.dependencies)
+        assert _session_differences(session, [query, star.query]) == []
+        spoke = parse_dependencies("s1(X,Y) -> t(Y)").dependencies[0]
+        session.apply_delta(query, ChaseDelta(added_dependencies=(spoke,)))
+        assert len(session.dependencies) == len(star.dependencies) + 1
+        assert _session_differences(session, [query, parse_query("Q(X) :- s1(X,Y), t(Y)")]) == []
+
+    def test_built_once_per_compiled_sigma(self, monkeypatch):
+        built = []
+        build = BackchaseSigma.__init__
+
+        def counting(side, plans, semantics, set_valued):
+            built.append((semantics, set_valued))
+            build(side, plans, semantics, set_valued)
+
+        monkeypatch.setattr(BackchaseSigma, "__init__", counting)
+        star = star_workload(6)
+        session = Session(dependencies=star.dependencies, plan_cache=PlanCache())
+        for _ in range(10):
+            session.reformulate(star.query, "bag")
+        assert built == [(Semantics.BAG, star.dependencies.set_valued_predicates)]
+        session.plan_cache.invalidate()
+        session.reformulate(star.query, "bag")
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("set_valued", [(), ("b", "c")])
+    def test_rule_one_reads_the_regularized_sigma(self, set_valued):
+        # The fuzz generator regularizes the Σ it draws, so no campaign
+        # reaches this: the plan cache compiles the tgd to a(X) -> b(X,Z) and
+        # a(X) -> c(X,W), and rule 1 reads those.
+        sigma = _keyed(
+            """
+            a(X) -> b(X,Z) & c(X,W)
+            b(X,Y1) & b(X,Y2) -> Y1 = Y2
+            """,
+            list(set_valued),
+        )
+        assert len(PlanCache().plans_for(sigma).tgds) == 2
+        queries = [
+            parse_query(text)
+            for text in (
+                "Q(X) :- a(X)",
+                "Q(X) :- a(X), b(X,Y), c(X,W)",
+                "Q(X) :- b(X,Y), c(X,W)",
+                "Q(X) :- a(X), c(X,W), d(W)",
+            )
+        ]
+        assert _differences(sigma, queries) == []
 
 
 def _key_foreign_key_case(rng):
