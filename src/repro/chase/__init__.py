@@ -10,7 +10,6 @@ from .delta import ChaseCapture, TriggerIndex
 from .incremental import (
     ChaseCheckpoint,
     ChaseDelta,
-    ResumableChase,
     ResumeOutcome,
     chase_with_checkpoint,
     has_applicable_step,
@@ -58,7 +57,6 @@ __all__ = [
     "ChaseStepRecord",
     "EGDPlan",
     "PlanCache",
-    "ResumableChase",
     "ResumeOutcome",
     "SigmaPlans",
     "SigmaSubsetResult",

@@ -54,14 +54,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import time
 
 from ..core.atoms import Atom
 from ..core.homomorphism import TargetIndex
 from ..core.query import ConjunctiveQuery
-from ..core.terms import Constant, Term, Variable
+from ..core.terms import Term
 from ..dependencies.base import EGD, TGD, Dependency, DependencySet
 from ..exceptions import ChaseError, DeltaRejectedError, QueryError
 from ..semantics import Semantics
@@ -85,7 +85,6 @@ from .steps import (
 __all__ = [
     "ChaseCheckpoint",
     "ChaseDelta",
-    "ResumableChase",
     "ResumeOutcome",
     "apply_delta_to_query",
     "apply_delta_to_sigma",
@@ -360,145 +359,6 @@ class ChaseCheckpoint:
     def chase_generated_names(self) -> frozenset[str]:
         """Names invented by the run (labeled nulls): unusable in deltas."""
         return self.used_names - self.base_query.variable_names()
-
-    # ------------------------------------------------------------------ #
-    # Serialization.  Step provenance references the *regularized* items of
-    # Σ by position; regularization is deterministic, so the positions are
-    # stable across a render/parse round trip of the original Σ.
-    # ------------------------------------------------------------------ #
-    def as_dict(self) -> dict[str, Any]:
-        from ..datalog import render_dependency, render_query
-
-        from ..dependencies.regularize import regularize_dependencies
-
-        items = regularize_dependencies(self.sigma.dependencies)
-        positions = {id(item): position for position, item in enumerate(items)}
-        item_keys = {
-            _dependency_key(item): position for position, item in enumerate(items)
-        }
-
-        def dependency_position(dependency: Dependency) -> int:
-            position = positions.get(id(dependency))
-            if position is None:
-                position = item_keys.get(_dependency_key(dependency))
-            if position is None:
-                raise ChaseError(
-                    f"checkpoint step references {dependency}, which is not "
-                    "part of the regularized Σ"
-                )
-            return position
-
-        return {
-            "version": 1,
-            "base_query": render_query(self.base_query),
-            "fixpoint": render_query(self.result.query),
-            "semantics": self.semantics.value,
-            "max_steps": self.max_steps,
-            "used_names": sorted(self.used_names),
-            "egd_clean": list(self.egd_clean),
-            "tgd_clean": list(self.tgd_clean),
-            "sigma": {
-                "dependencies": [
-                    {"text": render_dependency(d), "name": d.name} for d in self.sigma
-                ],
-                "set_valued": sorted(self.sigma.set_valued_predicates),
-            },
-            "steps": [
-                {
-                    "kind": record.kind,
-                    "dependency": dependency_position(record.dependency),
-                    "homomorphism": _mapping_to_list(record.homomorphism),
-                    "added_atoms": [_atom_to_dict(a) for a in record.added_atoms],
-                    "substitution": _mapping_to_list(record.substitution),
-                }
-                for record in self.result.steps
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ChaseCheckpoint":
-        from ..datalog import parse_dependency, parse_query
-
-        from ..dependencies.regularize import regularize_dependencies
-
-        dependencies: list[Dependency] = []
-        for entry in payload["sigma"]["dependencies"]:
-            parsed = parse_dependency(entry["text"], name=entry.get("name", ""))
-            if len(parsed) != 1:
-                raise ChaseError(
-                    f"checkpoint dependency {entry['text']!r} did not round-trip "
-                    "to a single dependency"
-                )
-            dependencies.append(parsed[0])
-        sigma = DependencySet(dependencies, payload["sigma"]["set_valued"])
-        items = regularize_dependencies(sigma.dependencies)
-        steps = []
-        for entry in payload["steps"]:
-            position = entry["dependency"]
-            if not 0 <= position < len(items):
-                raise ChaseError(
-                    f"checkpoint step references dependency {position}, but the "
-                    f"regularized Σ has {len(items)} items"
-                )
-            steps.append(
-                ChaseStepRecord(
-                    dependency=items[position],
-                    homomorphism=_mapping_from_list(entry["homomorphism"]),
-                    kind=entry["kind"],
-                    added_atoms=tuple(
-                        _atom_from_dict(a) for a in entry["added_atoms"]
-                    ),
-                    substitution=_mapping_from_list(entry["substitution"]),
-                )
-            )
-        semantics = Semantics.from_name(payload["semantics"])
-        result = ChaseResult(
-            query=parse_query(payload["fixpoint"]),
-            steps=steps,
-            semantics=semantics,
-            terminated=True,
-            profile=None,
-        )
-        return cls(
-            base_query=parse_query(payload["base_query"]),
-            result=result,
-            sigma=sigma,
-            semantics=semantics,
-            max_steps=int(payload["max_steps"]),
-            used_names=frozenset(payload["used_names"]),
-            egd_clean=tuple(bool(b) for b in payload["egd_clean"]),
-            tgd_clean=tuple(bool(b) for b in payload["tgd_clean"]),
-        )
-
-
-def _term_to_dict(term: Term) -> dict[str, Any]:
-    if isinstance(term, Variable):
-        return {"var": term.name}
-    if isinstance(term, Constant):
-        return {"const": term.value}
-    raise ChaseError(f"unsupported term {term!r}")
-
-
-def _term_from_dict(payload: Mapping[str, Any]) -> Term:
-    if "var" in payload:
-        return Variable(payload["var"])
-    return Constant(payload["const"])
-
-
-def _atom_to_dict(atom: Atom) -> dict[str, Any]:
-    return {"p": atom.predicate, "t": [_term_to_dict(t) for t in atom.terms]}
-
-
-def _atom_from_dict(payload: Mapping[str, Any]) -> Atom:
-    return Atom(payload["p"], [_term_from_dict(t) for t in payload["t"]])
-
-
-def _mapping_to_list(mapping: Mapping[Term, Term]) -> list[list[dict[str, Any]]]:
-    return [[_term_to_dict(k), _term_to_dict(v)] for k, v in mapping.items()]
-
-
-def _mapping_from_list(payload: Iterable[Sequence[Mapping[str, Any]]]) -> dict[Term, Term]:
-    return {_term_from_dict(k): _term_from_dict(v) for k, v in payload}
 
 
 # ---------------------------------------------------------------------- #
@@ -829,92 +689,3 @@ def resume_chase(
     except _ResumeAbandoned as abandoned:
         return cold(abandoned.reason)
 
-
-# ---------------------------------------------------------------------- #
-# Stateful wrapper
-# ---------------------------------------------------------------------- #
-class ResumableChase:
-    """A chase fixpoint maintained under a stream of deltas.
-
-    Wraps :func:`chase_with_checkpoint` / :func:`resume_chase` with the
-    obvious state machine: ``run()`` performs (or returns) the cold run,
-    ``apply(delta)`` advances the base/Σ and resumes.  ``stats()`` reports
-    resumed-vs-cold counts and the steps the resumes saved — the same
-    numbers ``Session.stats()`` aggregates across queries.
-    """
-
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        dependencies: DependencySet | Sequence[Dependency] = (),
-        semantics: Semantics | str = Semantics.SET,
-        max_steps: int = DEFAULT_MAX_STEPS,
-        *,
-        plan_cache: PlanCache | None = None,
-    ):
-        self._query = query
-        self._sigma = DependencySet.coerce(dependencies)
-        self._semantics = Semantics.from_name(semantics)
-        self._max_steps = max_steps
-        self._plan_cache = plan_cache if plan_cache is not None else default_plan_cache()
-        self._checkpoint: ChaseCheckpoint | None = None
-        self._result: ChaseResult | None = None
-        self._counters = {
-            "deltas_applied": 0,
-            "resumed_runs": 0,
-            "cold_runs": 0,
-            "steps_replayed": 0,
-            "steps_executed": 0,
-        }
-
-    @property
-    def query(self) -> ConjunctiveQuery:
-        """The current (delta-accumulated) base query."""
-        return self._query
-
-    @property
-    def dependencies(self) -> DependencySet:
-        """The current (delta-accumulated) Σ."""
-        return self._sigma
-
-    @property
-    def checkpoint(self) -> ChaseCheckpoint | None:
-        return self._checkpoint
-
-    def run(self) -> ChaseResult:
-        """The chase result for the current state (cold on first call)."""
-        if self._result is None:
-            self._result, self._checkpoint = chase_with_checkpoint(
-                self._query,
-                self._sigma,
-                self._semantics,
-                self._max_steps,
-                plan_cache=self._plan_cache,
-            )
-            self._counters["cold_runs"] += 1
-            self._counters["steps_executed"] += self._result.step_count
-        return self._result
-
-    def apply(self, delta: ChaseDelta) -> ResumeOutcome:
-        """Apply *delta* and return the (resumed or cold) outcome."""
-        self.run()
-        assert self._checkpoint is not None
-        outcome = resume_chase(
-            self._checkpoint, delta, plan_cache=self._plan_cache
-        )
-        self._counters["deltas_applied"] += 1
-        if outcome.resumed:
-            self._counters["resumed_runs"] += 1
-        else:
-            self._counters["cold_runs"] += 1
-        self._counters["steps_replayed"] += outcome.replayed_steps
-        self._counters["steps_executed"] += outcome.new_steps
-        self._checkpoint = outcome.checkpoint
-        self._result = outcome.result
-        if outcome.checkpoint is not None:
-            self._query = outcome.checkpoint.base_query
-            self._sigma = outcome.checkpoint.sigma
-        return outcome
-
-    def stats(self) -> dict[str, int]:
-        return dict(self._counters)

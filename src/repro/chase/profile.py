@@ -106,11 +106,9 @@ class ChaseProfile:
     #: (a miss runs the full normal-form renaming once per query object).
     structural_key_hits: int = 0
     structural_key_misses: int = 0
-    #: Chase-cache keys assembled vs reused from the Session's per-query
-    #: memo, and the wall time spent assembling them (Session-level: cold
-    #: chase runs leave these at zero).
+    #: Chase-cache keys the Session built, and the wall time spent building
+    #: them (Session-level: cold chase runs leave these at zero).
     cache_keys_built: int = 0
-    cache_keys_reused: int = 0
     key_build_time: float = 0.0
     wall_time: float = 0.0
 
@@ -195,7 +193,6 @@ class ChaseProfile:
         self.structural_key_hits += other.structural_key_hits
         self.structural_key_misses += other.structural_key_misses
         self.cache_keys_built += other.cache_keys_built
-        self.cache_keys_reused += other.cache_keys_reused
         self.key_build_time += other.key_build_time
         self.wall_time += other.wall_time
 
@@ -262,10 +259,9 @@ class ChaseProfile:
                 f"  structural keys  : {self.structural_key_hits} memo hits, "
                 f"{self.structural_key_misses} computed"
             )
-        if self.cache_keys_built or self.cache_keys_reused:
+        if self.cache_keys_built:
             lines.append(
-                f"  cache keys       : {self.cache_keys_built} built, "
-                f"{self.cache_keys_reused} reused "
+                f"  cache keys       : {self.cache_keys_built} built "
                 f"({self.key_build_time * 1000:.2f} ms building)"
             )
         lines.append(f"  wall time        : {self.wall_time * 1000:.2f} ms")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .homomorphism import are_isomorphic, find_isomorphism
+from .homomorphism import are_isomorphic
 from .query import ConjunctiveQuery
 
 
@@ -56,13 +56,6 @@ def is_bag_equivalent_with_set_enforced(
     reduced1 = q1.drop_duplicates_for(predicates)
     reduced2 = q2.drop_duplicates_for(predicates)
     return are_isomorphic(reduced1, reduced2)
-
-
-def bag_equivalence_witness(
-    q1: ConjunctiveQuery, q2: ConjunctiveQuery
-) -> dict | None:
-    """Return the isomorphism witnessing ``Q1 ≡B Q2``, or None."""
-    return find_isomorphism(q1, q2)
 
 
 def violates_bag_containment_count_condition(

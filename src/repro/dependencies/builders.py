@@ -9,7 +9,7 @@ not have to spell the atoms out by hand.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..core.atoms import Atom, EqualityAtom
 from ..core.terms import Variable
@@ -167,8 +167,3 @@ def foreign_key(
         key_egds(target_relation, target_arity, list(target_positions), name_prefix=name)
     )
     return dependencies
-
-
-def set_valued_marker_predicates(relations: Iterable[str]) -> frozenset[str]:
-    """Normalise an iterable of relation names into the set-valued marker set."""
-    return frozenset(relations)

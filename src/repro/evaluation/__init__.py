@@ -3,7 +3,6 @@
 from .aggregates import aggregate_answers_agree, evaluate_aggregate
 from .assignments import (
     InstanceIndex,
-    assignment_satisfies,
     instantiate_terms,
     iter_satisfying_assignments,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "InstanceIndex",
     "aggregate_answers_agree",
     "answers_agree",
-    "assignment_satisfies",
     "evaluate",
     "evaluate_aggregate",
     "evaluate_all_semantics",

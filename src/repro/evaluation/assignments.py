@@ -202,17 +202,6 @@ def iter_satisfying_assignments(
     yield from search()
 
 
-def assignment_satisfies(
-    atoms: Sequence[Atom],
-    instance: DatabaseInstance,
-    fixed: Mapping[Variable, object] | None = None,
-) -> bool:
-    """Is there at least one satisfying assignment extending *fixed*?"""
-    for _ in iter_satisfying_assignments(atoms, instance, fixed=fixed):
-        return True
-    return False
-
-
 def instantiate_terms(
     terms: Sequence, assignment: Mapping[Variable, object]
 ) -> tuple:

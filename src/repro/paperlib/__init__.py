@@ -22,7 +22,6 @@ from .workloads import (
     clique_workload,
     h_family,
     orders_workload,
-    random_workload,
     star_workload,
 )
 
@@ -46,6 +45,5 @@ __all__ = [
     "example_e_2",
     "h_family",
     "orders_workload",
-    "random_workload",
     "star_workload",
 ]

@@ -20,7 +20,6 @@ reformulation algorithms are exercised on three families of workloads:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..core.atoms import Atom
 from ..core.query import ConjunctiveQuery
@@ -32,9 +31,6 @@ from ..dependencies.builders import (
     key_egds,
 )
 from ..schema.schema import DatabaseSchema
-
-if TYPE_CHECKING:
-    from ..fuzz.generator import GeneratorConfig
 
 
 @dataclass(frozen=True)
@@ -246,34 +242,6 @@ def clique_workload(size: int, distractors: int = 0) -> Workload:
         dependencies=DependencySet(dependencies, set_valued_predicates=("e", "t")),
         query=query,
         parameters={"size": size, "distractors": distractors},
-    )
-
-
-def random_workload(
-    seed: int, index: int = 0, config: GeneratorConfig | None = None
-) -> Workload:
-    """A random (but deterministic) workload drawn from the fuzz generator.
-
-    Bridges the structured families above and the scenario-diversity layer of
-    :mod:`repro.fuzz`: benchmarks and experiments can sample arbitrary
-    weakly-acyclic shapes — self-joins, constants in dependency conclusions,
-    egd/tgd interleavings — with the exact reproduction recipe (``seed``,
-    ``index``) carried in the workload parameters.
-    """
-    from ..fuzz.generator import DEFAULT_CONFIG, generate_case
-
-    case = generate_case(seed, index, config or DEFAULT_CONFIG)
-    schema = DatabaseSchema.from_arities(
-        case.arities(),
-        set_valued=case.dependencies.set_valued_predicates
-        & set(case.arities()),
-    )
-    return Workload(
-        name=f"random(seed={seed}, index={index})",
-        schema=schema,
-        dependencies=case.dependencies,
-        query=case.query,
-        parameters={"seed": seed, "index": index, "other": case.other},
     )
 
 

@@ -38,8 +38,8 @@ __all__ = ["ENGINE_OPS", "execute_op", "error_payload_for"]
 ENGINE_OPS = ("decide", "reformulate", "batch", "analyze", "apply-delta")
 
 #: Query texts whose parse :func:`_param_query` keeps (least recently used
-#: out first).  Small on purpose: a larger memo pins every cold text, and
-#: with it the Session's chase-key memo entry for the parsed query.
+#: out first).  Small on purpose: a larger memo pins every cold text and
+#: its parsed query.
 _QUERY_MEMO_SIZE = 64
 
 
@@ -60,9 +60,10 @@ def _param_str(params: dict[str, Any], name: str) -> str:
 def _parsed_query(text: str) -> ConjunctiveQuery:
     """The parse of a request's query text, reused while the text repeats.
 
-    A repeated text gets the same query object back, so the Session's
-    per-query chase-key memo hits as well.  A miss parses through the module
-    global ``parse_query``; a :class:`ParseError` is raised, never cached.
+    A repeated text gets the same query object back, with its structural
+    key already computed for the Session's chase key.  A miss parses through
+    the module global ``parse_query``; a :class:`ParseError` is raised,
+    never cached.
     """
     return parse_query(text)
 

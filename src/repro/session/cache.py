@@ -12,11 +12,11 @@ Keys are *canonicalized*: the query contributes its
 :meth:`~repro.core.query.ConjunctiveQuery.structural_key` (deterministic
 variable renaming, so alpha-variant queries share an entry), Σ contributes
 its dependencies in order (chase strategy is order-sensitive) minus their
-display names, plus the set-valued predicate markers.  Both parts are
-memoized at their source — the structural key on the query object, the Σ
-fingerprint on the :class:`~repro.dependencies.base.DependencySet` — and the
-assembled :class:`ChaseKey` caches its own hash, so a warm lookup hashes one
-precomputed int instead of re-walking the query and Σ.  Cached
+display names, plus the set-valued predicate markers.  The structural key
+is memoized on the query object and the Σ fingerprint on the
+:class:`~repro.dependencies.base.DependencySet`; a :class:`ChaseKey` takes
+its hash once, over the fingerprint's hash rather than the fingerprint
+itself, so building a key costs the same whatever the size of Σ.  Cached
 :class:`~repro.chase.set_chase.ChaseResult` objects are immutable in
 practice and shared by reference; the chase result of an alpha-variant hit
 differs from a fresh chase only by a variable renaming, which every
@@ -25,10 +25,9 @@ downstream test (homomorphism, isomorphism, C&B) is invariant under.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable
+from typing import Hashable, Iterable
 
 from ..core.query import ConjunctiveQuery
 from ..dependencies.base import Dependency, DependencySet
@@ -61,21 +60,41 @@ def sigma_fingerprint(dependencies: DependencySet | Iterable[Dependency]) -> Has
     return DependencySet.coerce(dependencies).fingerprint
 
 
-class ChaseKey:
-    """An assembled chase-cache key with its hash computed exactly once.
+def sigma_part(dependencies: DependencySet | Iterable[Dependency]) -> tuple[Hashable, int]:
+    """Σ's part of a chase key: its fingerprint and the fingerprint's hash.
 
-    A key tuple's hash is recomputed by the dict on *every* ``get`` and
-    ``move_to_end``, walking the whole structural key and Σ fingerprint.
-    Wrapping the tuple caches that hash; equality keeps the full value
-    comparison (identical parts compare by pointer, so a warm hit is cheap),
-    making the wrapper safe to mix with arbitrary keys in one cache.
+    Callers that build many keys under one Σ compute this once (the Session
+    keeps it until Σ changes).
+    """
+    fingerprint = sigma_fingerprint(dependencies)
+    return fingerprint, hash(fingerprint)
+
+
+class ChaseKey:
+    """One chase-cache key, with its hash computed exactly once.
+
+    ``parts`` is ``(structural key, Σ fingerprint, semantics, max_steps)``:
+    equality compares it (identical parts compare by pointer, so a warm hit
+    is cheap) and the store digests it.  The hash is taken over the
+    fingerprint's precomputed hash instead of the fingerprint, whose hash
+    would walk every dependency of Σ on each build.  Equality with anything
+    but a ``ChaseKey`` is ``NotImplemented``, so the key is safe to mix with
+    arbitrary keys in one cache.
     """
 
     __slots__ = ("parts", "_hash")
 
-    def __init__(self, parts: tuple):
-        self.parts = parts
-        self._hash = hash(parts)
+    def __init__(
+        self,
+        query: ConjunctiveQuery,
+        sigma: tuple[Hashable, int],
+        semantics: Hashable,
+        max_steps: int,
+    ):
+        structural = query.structural_key()
+        fingerprint, sigma_hash = sigma
+        self.parts = (structural, fingerprint, semantics, max_steps)
+        self._hash = hash((structural, sigma_hash, semantics, max_steps))
 
     def __hash__(self) -> int:
         return self._hash
@@ -96,84 +115,13 @@ def chase_cache_key(
     dependencies: DependencySet | Iterable[Dependency],
     semantics: Hashable,
     max_steps: int,
-    *,
-    sigma_key: Hashable | None = None,
-) -> Hashable:
+) -> ChaseKey:
     """The canonical cache key of one chase invocation.
 
     ``semantics`` is any hashable semantics discriminator — the Session
-    passes a frozen (name, class path) pair per semantics.  ``sigma_key``
-    lets callers that already hold ``sigma_fingerprint(Σ)`` (the Session
-    memoizes it per Σ) skip recomputing it.  The Session additionally
-    memoizes the returned :class:`ChaseKey` per live query object, so on a
-    warm session this function is not even called.
+    passes a frozen (name, class path) pair per semantics.
     """
-    if sigma_key is None:
-        sigma_key = sigma_fingerprint(dependencies)
-    return ChaseKey((query.structural_key(), sigma_key, semantics, max_steps))
-
-
-class WeakKeyLRU:
-    """A weak-keyed memo bounded by the chase cache's LRU policy.
-
-    The Session's per-query :class:`ChaseKey` memo is weak keyed so it can
-    never pin a query a caller has dropped — but weak keys alone do not
-    bound it: a pathological caller holding millions of distinct live
-    queries would pay one entry each for as long as it holds them.  This
-    wrapper adds the same least-recently-used eviction the
-    :class:`ChaseCache` applies, so the memo's footprint is capped no matter
-    what the caller keeps alive.
-
-    Keys are stored as :class:`weakref.ref` objects (which hash and compare
-    like their referents while alive), with a death callback that drops the
-    entry — the same semantics as a ``WeakKeyDictionary``, plus recency
-    tracking and a size bound.
-    """
-
-    __slots__ = ("maxsize", "_entries", "evictions")
-
-    def __init__(self, maxsize: int):
-        if maxsize < 1:
-            raise ValueError(f"memo maxsize must be positive, got {maxsize}")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[weakref.ref, Any]" = OrderedDict()
-        self.evictions = 0
-
-    def get(self, key: object) -> Any:
-        """The memoized value for *key* (refreshing its recency), or None."""
-        ref = weakref.ref(key)
-        value = self._entries.get(ref)
-        if value is not None:
-            self._entries.move_to_end(ref)
-        return value
-
-    def put(self, key: object, value: object) -> None:
-        """Memoize *value* for *key*, evicting the least recently used entry."""
-        entries = self._entries
-        probe = weakref.ref(key)
-        if probe in entries:
-            # Keep the stored ref (it carries the death callback).
-            entries[probe] = value
-            entries.move_to_end(probe)
-            return
-
-        def _drop(ref: weakref.ref, _entries: OrderedDict = entries) -> None:
-            _entries.pop(ref, None)
-
-        entries[weakref.ref(key, _drop)] = value
-        while len(entries) > self.maxsize:
-            entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (the eviction counter survives)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WeakKeyLRU(size={len(self._entries)}/{self.maxsize})"
+    return ChaseKey(query, sigma_part(dependencies), semantics, max_steps)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,9 @@ Typical use::
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Hashable, Iterable, Mapping, Protocol, Sequence
 
 from ..chase.incremental import (
-    ChaseCheckpoint,
     ChaseDelta,
     ResumeOutcome,
     apply_delta_to_query,
@@ -51,15 +50,7 @@ from ..equivalence.decision import EquivalenceVerdict
 from ..semantics import Semantics
 from ..exceptions import DeltaRejectedError, DependencyError, SchemaError, SemanticsError
 from . import strategies
-from .cache import (
-    MISSING,
-    CacheStats,
-    ChaseCache,
-    ChaseKey,
-    WeakKeyLRU,
-    chase_cache_key,
-    sigma_fingerprint,
-)
+from .cache import MISSING, CacheStats, ChaseCache, ChaseKey, sigma_part
 
 
 #: Bound on the checkpoints a Session keeps for :meth:`Session.apply_delta`.
@@ -132,9 +123,9 @@ class Session:
     every call that names none; it is resolved here, so an unknown name
     raises :class:`~repro.exceptions.UnknownSemanticsError` at once.
 
-    ``cache_size`` bounds the chase-result cache and the per-query key memo
-    that shares its policy.  The checkpoints kept for :meth:`apply_delta`
-    have their own, fixed bound, :data:`CHECKPOINT_CACHE_SIZE`.
+    ``cache_size`` bounds the chase-result cache.  The checkpoints kept for
+    :meth:`apply_delta` have their own, fixed bound,
+    :data:`CHECKPOINT_CACHE_SIZE`.
     """
 
     def __init__(
@@ -186,27 +177,20 @@ class Session:
             self.precheck_report, self._certificate = self._run_precheck(
                 self._dependencies
             )
-        self._sigma_key: object | None = None  # computed lazily by _chase_key
-        # Assembled cache keys, memoized per live query object (satellite of
-        # the hash-consing refactor): repeated decisions on the same query
-        # objects — every C&B run, every warm dashboard — reuse the exact
-        # ChaseKey instance, whose hash is already computed.  Weak keys keep
-        # the memo from pinning queries a caller has dropped; the LRU bound
-        # (the chase cache's own policy and size) keeps a caller holding
-        # millions of live queries from growing it without limit.
-        self._key_memo: WeakKeyLRU = WeakKeyLRU(cache_size)
+        # Σ's part of every chase key, computed lazily by _chase_key.
+        self._sigma_key: tuple[Hashable, int] | None = None
         # Aggregate of every *cold* chase's profile (cache hits add nothing:
         # the work they saved is exactly what the aggregate measures).
         self._profile = ChaseProfile(runs=0)
         # Incremental chase state.  With ``chase_resumable`` every cold chase
         # also captures a ChaseCheckpoint; apply_delta always captures one
-        # for the post-delta state.  Checkpoints are
-        # keyed *without* Σ or the step budget (a checkpoint carries its own
-        # Σ and budget and is caught up to the session's Σ at resume time),
-        # and deliberately kept in a cache separate from the chase-result
-        # cache: set_dependencies must invalidate stale results but a
-        # checkpoint taken under a Σ prefix is exactly what apply_delta
-        # resumes from after Σ grows.
+        # for the post-delta state.  Checkpoints are keyed by the query
+        # itself and the semantics, *without* Σ or the step budget (a
+        # checkpoint carries its own Σ and budget and is caught up to the
+        # session's Σ at resume time), and deliberately kept in a cache
+        # separate from the chase-result cache: set_dependencies must
+        # invalidate stale results but a checkpoint taken under a Σ prefix
+        # is exactly what apply_delta resumes from after Σ grows.
         self.chase_resumable = bool(chase_resumable)
         self._checkpoints = ChaseCache(CHECKPOINT_CACHE_SIZE)
         self._incremental: dict[str, int] = {
@@ -264,7 +248,6 @@ class Session:
         self.precheck_report = report
         self._certificate = certificate
         self._sigma_key = None
-        self._key_memo.clear()  # memoized keys embed the old Σ fingerprint
         self.cache.invalidate()
 
     def _run_precheck(self, dependencies: DependencySet):
@@ -296,32 +279,20 @@ class Session:
     # ------------------------------------------------------------------ #
     # Chase (cached)
     # ------------------------------------------------------------------ #
-    def _chase_key(self, query: ConjunctiveQuery, semantics: Semantics, max_steps: int):
-        # Σ's fingerprint only changes via set_dependencies (which resets it),
-        # so it is computed once per Σ rather than on every lookup.  Assembled
-        # keys are memoized per live query object (keyed by semantics and
-        # budget), so a repeat lookup reuses the hash-cached ChaseKey without
-        # rebuilding anything.
-        key_part = _KEY_PART[semantics]
-        per_query = self._key_memo.get(query)
-        if per_query is None:
-            per_query = {}
-            self._key_memo.put(query, per_query)
-        memo_key = (key_part, max_steps)
-        key = per_query.get(memo_key)
-        if key is not None:
-            self._profile.cache_keys_reused += 1
-            return key
+    def _chase_key(
+        self, query: ConjunctiveQuery, semantics: Semantics, max_steps: int
+    ) -> ChaseKey:
+        # The query's part is its memoized structural key; Σ's part only
+        # changes through set_dependencies (which resets it), so its
+        # fingerprint and hash are computed once per Σ.
         started = time.perf_counter()
-        if self._sigma_key is None:
-            self._sigma_key = sigma_fingerprint(self._dependencies)
-        key = chase_cache_key(
-            query, self._dependencies, key_part, max_steps,
-            sigma_key=self._sigma_key,
-        )
-        per_query[memo_key] = key
-        self._profile.cache_keys_built += 1
-        self._profile.key_build_time += time.perf_counter() - started
+        sigma = self._sigma_key
+        if sigma is None:
+            sigma = self._sigma_key = sigma_part(self._dependencies)
+        key = ChaseKey(query, sigma, _KEY_PART[semantics], max_steps)
+        profile = self._profile
+        profile.cache_keys_built += 1
+        profile.key_build_time += time.perf_counter() - started
         return key
 
     def chase(
@@ -364,7 +335,7 @@ class Session:
                 query, self._dependencies, semantics, steps,
                 plan_cache=self.plan_cache,
             )
-            self._checkpoints.put(self._checkpoint_key(query, semantics), checkpoint)
+            self._checkpoints.put((query, semantics), checkpoint)
             self._incremental["cold_runs"] += 1
             self._incremental["steps_executed"] += result.step_count
         else:
@@ -411,26 +382,6 @@ class Session:
     # ------------------------------------------------------------------ #
     # Incremental chase
     # ------------------------------------------------------------------ #
-    def _checkpoint_key(self, query: ConjunctiveQuery, semantics: Semantics) -> ChaseKey:
-        # No Σ fingerprint and no step budget, unlike _chase_key: a
-        # checkpoint records its own Σ and budget, and the whole point of
-        # keeping it across set_dependencies is resuming after Σ grows.
-        return ChaseKey((query.structural_key(), _KEY_PART[semantics]))
-
-    def checkpoint_for(
-        self, query: ConjunctiveQuery, semantics: object | None = None
-    ) -> "ChaseCheckpoint | None":
-        """The stored chase checkpoint for *query*, or None.
-
-        Checkpoints exist for queries chased with ``chase_resumable`` set or
-        advanced through :meth:`apply_delta`; they may have been taken under
-        an earlier (prefix) Σ than the session's current one.
-        """
-        checkpoint = self._checkpoints.get(
-            self._checkpoint_key(query, self._semantics(semantics))
-        )
-        return None if checkpoint is MISSING else checkpoint
-
     def apply_delta(
         self,
         query: ConjunctiveQuery,
@@ -485,7 +436,11 @@ class Session:
 
         outcome: ResumeOutcome
         if delta.is_monotone:
-            checkpoint = self._checkpoints.get(self._checkpoint_key(query, semantics))
+            # Keyed by the query itself, not its structural key: a resume
+            # adds the delta to the checkpoint's base query, so an
+            # alpha-variant's checkpoint would name the result's variables
+            # after another query's.
+            checkpoint = self._checkpoints.get((query, semantics))
             if checkpoint is not MISSING:
                 catchup = sigma_extension_suffix(checkpoint.sigma, previous_sigma)
                 if catchup is not None:
@@ -529,9 +484,7 @@ class Session:
         if self.store is not None and outcome.result.terminated:
             self.store.put(key, outcome.result)
         if outcome.checkpoint is not None:
-            self._checkpoints.put(
-                self._checkpoint_key(new_query, semantics), outcome.checkpoint
-            )
+            self._checkpoints.put((new_query, semantics), outcome.checkpoint)
         return outcome
 
     def _cold_outcome(

@@ -53,8 +53,10 @@ from ..exceptions import ReformulationError
 from ..reformulation.candidates import iter_subqueries
 from ..reformulation.cb import IsomorphismBuckets
 from ..semantics import Semantics
+from ..chase.incremental import ChaseDelta
 from ..chase.set_chase import DEFAULT_MAX_STEPS
 from ..chase.sound_chase import sound_chase
+from ..session import Session
 from .definitions import ViewDefinition, ViewSet
 
 
@@ -224,11 +226,12 @@ class IncrementalViewRewriter:
 
     The dominant cost of :func:`rewrite_query_using_views` on a warm
     workload is step 2 — re-chasing the input to its universal plan after
-    every edit.  This maintainer keeps that chase *resumable* (see
-    :mod:`repro.chase.incremental`): :meth:`add_atoms` and
-    :meth:`add_dependencies` advance the universal-plan fixpoint from its
-    checkpoint instead of rechasing, then re-run only candidate enumeration
-    and validation.
+    every edit.  This maintainer runs that chase on a private
+    ``Session(chase_resumable=True)``: :meth:`add_atoms` and
+    :meth:`add_dependencies` go through :meth:`Session.apply_delta
+    <repro.session.Session.apply_delta>`, which advances the universal-plan
+    fixpoint from its checkpoint instead of rechasing, then re-run only
+    candidate enumeration and validation.
 
     The maintainer owns its working dependency order: it starts from
     ``views.combined_dependencies(dependencies)`` and *appends* every added
@@ -250,8 +253,6 @@ class IncrementalViewRewriter:
         max_steps: int = DEFAULT_MAX_STEPS,
         max_candidate_size: int | None = None,
     ) -> None:
-        from ..chase.incremental import ResumableChase
-
         self.semantics = Semantics.from_name(semantics)
         if not isinstance(dependencies, DependencySet):
             dependencies = DependencySet(dependencies)
@@ -260,15 +261,16 @@ class IncrementalViewRewriter:
         self.max_steps = max_steps
         self.max_candidate_size = max_candidate_size
         self._check_base_only(query.body)
+        self._query = query
         # Validation Σ (base + added) and the chase's working Σ (combined,
         # append-only) evolve together but keep different orders; see the
         # class docstring.
         self._dependencies = dependencies
-        self._chase = ResumableChase(
-            query,
-            views.combined_dependencies(dependencies),
-            Semantics.SET,
-            max_steps,
+        self._session = Session(
+            dependencies=views.combined_dependencies(dependencies),
+            default_semantics=Semantics.SET,
+            max_steps=max_steps,
+            chase_resumable=True,
         )
 
     def _check_base_only(self, atoms: Iterable[Atom]) -> None:
@@ -281,7 +283,7 @@ class IncrementalViewRewriter:
     @property
     def query(self) -> ConjunctiveQuery:
         """The current (delta-accumulated) input query."""
-        return self._chase.query
+        return self._query
 
     @property
     def dependencies(self) -> DependencySet:
@@ -290,9 +292,9 @@ class IncrementalViewRewriter:
 
     def rewrite(self) -> ViewRewritingResult:
         """Rewritings for the current state (chases only what a delta needs)."""
-        universal_plan = self._chase.run().query
+        universal_plan = self._session.chase(self._query).query
         return _collect_rewritings(
-            self.query,
+            self._query,
             self.views,
             self._dependencies,
             self.semantics,
@@ -302,32 +304,39 @@ class IncrementalViewRewriter:
             max_candidate_size=self.max_candidate_size,
         )
 
+    def _apply(self, delta: ChaseDelta) -> None:
+        # The current state's chase leaves the checkpoint the delta resumes
+        # from (a cache hit once the state has been chased).
+        self._session.chase(self._query)
+        checkpoint = self._session.apply_delta(self._query, delta).checkpoint
+        assert checkpoint is not None  # apply_delta always leaves one
+        self._query = checkpoint.base_query
+
     def add_atoms(self, atoms: Iterable[Atom]) -> ViewRewritingResult:
         """Grow the input query's body and re-derive the rewritings."""
-        from ..chase.incremental import ChaseDelta
-
         added = tuple(atoms)
         self._check_base_only(added)
-        self._chase.apply(ChaseDelta.atoms(*added))
+        self._apply(ChaseDelta.atoms(*added))
         return self.rewrite()
 
     def add_dependencies(
         self, dependencies: Sequence[Dependency]
     ) -> ViewRewritingResult:
         """Grow the base dependency set and re-derive the rewritings."""
-        from ..chase.incremental import ChaseDelta
-
         added = tuple(dependencies)
-        self._chase.apply(ChaseDelta.dependencies(*added))
+        self._apply(ChaseDelta.dependencies(*added))
         base = list(self._dependencies.dependencies) + list(added)
         self._dependencies = DependencySet(
             base, self._dependencies.set_valued_predicates
         )
         return self.rewrite()
 
-    def stats(self) -> dict[str, int]:
-        """Resumed-vs-cold counters of the maintained universal-plan chase."""
-        return self._chase.stats()
+    def stats(self) -> dict[str, object]:
+        """Resumed-vs-cold counters of the universal-plan chase: the private
+        Session's ``incremental`` stats."""
+        incremental = self._session.stats()["incremental"]
+        assert isinstance(incremental, dict)
+        return incremental
 
 
 def is_correct_rewriting(

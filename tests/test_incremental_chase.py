@@ -1,24 +1,21 @@
 """Tests for the incremental chase (src/repro/chase/incremental.py).
 
-Covers the checkpoint round trip, monotone resume vs cold equivalence
-(Example 4.1 deltas plus a seeded 300-case campaign through the fuzz
-oracle's incremental leg), the non-monotone / name-collision fallbacks, the
-Session ``apply_delta`` integration (cache write-through, stats counters,
-strict-precheck atomicity), the serve wire path (``apply-delta`` op and the
-``delta-rejected`` error code), and the incremental view maintainer.
+Covers monotone resume vs cold equivalence (Example 4.1 deltas plus a
+seeded 300-case campaign through the fuzz oracle's incremental leg), the
+non-monotone / name-collision fallbacks, the Session ``apply_delta``
+integration (cache write-through, stats counters, strict-precheck
+atomicity, checkpoints of alpha-variants), the serve wire path
+(``apply-delta`` op and the ``delta-rejected`` error code), and the
+incremental view maintainer.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.chase import sound_chase
 from repro.chase.incremental import (
-    ChaseCheckpoint,
     ChaseDelta,
-    ResumableChase,
     chase_with_checkpoint,
     has_applicable_step,
     resume_chase,
@@ -32,6 +29,7 @@ from repro.dependencies import DependencySet
 from repro.exceptions import DeltaRejectedError, PrecheckFailedError
 from repro.semantics import Semantics
 from repro.serve import ReproClient, ReproServer, ServerError
+from repro.serve.ops import execute_op
 from repro.session import Session, strategies
 from repro.session.engine import CHECKPOINT_CACHE_SIZE
 from repro.views import IncrementalViewRewriter, ViewDefinition, ViewSet, rewrite_query_using_views
@@ -98,45 +96,6 @@ class TestChaseDelta:
                 checkpoint, ChaseDelta(removed_atoms=tuple(ex41.q4.body))
             )
         assert excinfo.value.reason == "unsafe-removal"
-
-
-# --------------------------------------------------------------------------- #
-class TestCheckpointRoundTrip:
-    @pytest.mark.parametrize("semantics", ALL_SEMANTICS)
-    def test_json_round_trip_preserves_state(self, ex41, semantics):
-        _, checkpoint = chase_with_checkpoint(
-            ex41.q3, ex41.dependencies, semantics
-        )
-        payload = json.loads(json.dumps(checkpoint.as_dict()))
-        clone = ChaseCheckpoint.from_dict(payload)
-        assert clone.base_query == checkpoint.base_query
-        assert clone.result.query == checkpoint.result.query
-        assert clone.semantics == checkpoint.semantics
-        assert clone.max_steps == checkpoint.max_steps
-        assert clone.used_names == checkpoint.used_names
-        assert clone.egd_clean == checkpoint.egd_clean
-        assert clone.tgd_clean == checkpoint.tgd_clean
-        # Records are compared by rendered form: dependency equality is
-        # identity-based, so the parsed twins are structurally equal twins.
-        assert [str(s) for s in clone.result.steps] == [
-            str(s) for s in checkpoint.result.steps
-        ]
-
-    def test_clone_is_resumable(self):
-        """A parsed-back checkpoint replays the bag-set record path."""
-        deps = parse_dependencies("e(X, Y) -> f(X, Y)")
-        _, checkpoint = chase_with_checkpoint(
-            parse_query("Q(X) :- e(X, Y)"), deps, Semantics.BAG_SET
-        )
-        clone = ChaseCheckpoint.from_dict(
-            json.loads(json.dumps(checkpoint.as_dict()))
-        )
-        delta = _delta_atoms("e(X, Y2)")
-        original = resume_chase(checkpoint, delta)
-        replayed = resume_chase(clone, delta)
-        assert original.resumed and replayed.resumed
-        assert str(original.result.query) == str(replayed.result.query)
-        assert original.new_steps == replayed.new_steps == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -375,21 +334,6 @@ class TestSeededCampaign:
 
 
 # --------------------------------------------------------------------------- #
-class TestResumableChase:
-    def test_lazy_run_and_stats(self, ex41):
-        chase = ResumableChase(ex41.q4, ex41.dependencies, Semantics.SET)
-        stats = chase.stats()
-        assert stats["cold_runs"] == 0
-        first = chase.run()
-        assert chase.run() is first  # memoized
-        chase.apply(_delta_atoms("t(X, Y, W)"))
-        stats = chase.stats()
-        assert stats["cold_runs"] == 1
-        assert stats["deltas_applied"] == 1
-        assert stats["resumed_runs"] == 1
-
-
-# --------------------------------------------------------------------------- #
 class TestSessionApplyDelta:
     def test_resume_after_session_chase(self, ex41):
         session = Session(dependencies=ex41.dependencies, chase_resumable=True)
@@ -454,6 +398,31 @@ class TestSessionApplyDelta:
         outcome = session.apply_delta(ex41.q4, _delta_atoms("u(X, U)"), "set")
         assert outcome.resumed, outcome.fallback_reason
 
+    @pytest.mark.parametrize("semantics", ["set", "bag-set"])
+    def test_alpha_variant_runs_cold(self, semantics):
+        """A checkpoint belongs to its query, not to the query's alpha-variants.
+
+        A resume adds the delta's atoms to the checkpoint's base query, so
+        resuming ``Q(A) :- p(A,B)`` from the checkpoint of ``Q(X) :- p(X,Y)``
+        would chase ``Q(X) :- p(X,Y), r(A)`` and cache it as the chase of
+        ``Q(A) :- p(A,B), r(A)``.
+        """
+        session = Session(
+            dependencies=parse_dependencies("p(X,Y) -> s(Y)"), chase_resumable=True
+        )
+        session.chase(parse_query("Q(X) :- p(X,Y)"), semantics)
+        outcome = session.apply_delta(
+            parse_query("Q(A) :- p(A,B)"), _delta_atoms("r(A)"), semantics
+        )
+        assert outcome.fallback_reason == "no-checkpoint"
+        assert render_query(outcome.checkpoint.base_query) == "Q(A) :- p(A, B), r(A)"
+        verdict = session.decide(
+            parse_query("Q(A) :- p(A,B), r(A)"),
+            parse_query("Q(A) :- p(A,B), r(A), s(B)"),
+            semantics,
+        )
+        assert verdict.equivalent
+
     def test_checkpoint_cache_has_its_own_bound(self, ex41):
         """The checkpoint LRU is bounded by its constant, not by cache_size."""
         session = Session(dependencies=ex41.dependencies, chase_resumable=True)
@@ -488,6 +457,26 @@ def resumable_client(resumable_server):
 
 
 class TestServeApplyDelta:
+    @pytest.mark.parametrize("semantics", ["set", "bag-set"])
+    def test_alpha_variant_through_execute_op(self, semantics):
+        session = Session(
+            dependencies=parse_dependencies("p(X,Y) -> s(Y)"), chase_resumable=True
+        )
+        execute_op(session, "decide", {
+            "query": "Q(X) :- p(X,Y)", "other": "Q(X) :- p(X,Y)", "semantics": semantics,
+        })
+        answer = execute_op(session, "apply-delta", {
+            "query": "Q(A) :- p(A,B)", "add_atoms": "r(A)", "semantics": semantics,
+        })
+        assert answer["query"] == "Q(A) :- p(A, B), r(A)"
+        assert answer["fallback_reason"] == "no-checkpoint"
+        verdict = execute_op(session, "decide", {
+            "query": "Q(A) :- p(A,B), r(A)",
+            "other": "Q(A) :- p(A,B), r(A), s(B)",
+            "semantics": semantics,
+        })
+        assert verdict["equivalent"] is True
+
     def test_cold_then_resumed_over_the_wire(self, resumable_client, ex41):
         query = render_query(ex41.q4)
         first = resumable_client.apply_delta(

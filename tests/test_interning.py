@@ -8,9 +8,9 @@ The interned core (``repro.core.terms`` / ``atoms`` / ``query``) promises:
 * pickling re-interns, so terms survive the ``decide_many`` multiprocessing
   round trip as canonical singletons;
 * derived forms (structural key, canonical representation, dedup) are
-  computed once per query object — asserted here through the new profile
-  counters — and chase-cache keys are built once per query object per
-  (strategy, budget) and reused;
+  computed once per query object — asserted here through the profile
+  counters — and chase-cache keys are built from the memoized structural
+  key, never recomputing it;
 * the refactor is behaviour-preserving, pinned by a seeded 300-case
   differential fuzz campaign against the frozen reference engines.
 """
@@ -32,6 +32,7 @@ from repro.core.terms import (
 )
 from repro.fuzz.runner import run_campaign
 from repro.paperlib.examples import example_4_1
+from repro.semantics import Semantics
 from repro.session import Session
 
 
@@ -186,18 +187,8 @@ class TestPickleRoundTrip:
 
 
 class TestSessionKeyReuse:
-    """Satellite: chase-cache keys are built once per query object and reused."""
-
-    def test_warm_decides_reuse_cache_keys(self):
-        ex41 = example_4_1()
-        session = Session(dependencies=ex41.dependencies)
-        session.decide(ex41.q1, ex41.q4, "bag")
-        built_after_cold = session.chase_profile().cache_keys_built
-        assert built_after_cold == 2  # one key per distinct query object
-        session.decide(ex41.q1, ex41.q4, "bag")
-        profile = session.chase_profile()
-        assert profile.cache_keys_built == built_after_cold  # nothing rebuilt
-        assert profile.cache_keys_reused >= 2
+    """Chase-cache keys reuse each query's memoized structural key and a Σ
+    part computed once per Σ."""
 
     def test_structural_keys_not_recomputed_on_warm_decides(self):
         ex41 = example_4_1()
@@ -207,18 +198,23 @@ class TestSessionKeyReuse:
         for _ in range(5):
             session.decide(ex41.q1, ex41.q4, "bag")
         hits, misses = CANONICALIZATION_STATS.snapshot()
-        # Warm decides reuse the memoized ChaseKey: not even a structural-key
-        # *hit* is recorded, and certainly nothing is recomputed.
+        # Warm decides build their keys from the memoized structural keys:
+        # nothing is recomputed.
         assert misses == before[1]
 
     def test_changing_sigma_resets_key_memo(self):
+        """set_dependencies drops the Σ part it memoized, so keys follow Σ."""
         ex41 = example_4_1()
         session = Session(dependencies=ex41.dependencies)
-        session.decide(ex41.q1, ex41.q4, "bag")
-        built = session.chase_profile().cache_keys_built
+
+        def key():
+            return session._chase_key(ex41.q1, Semantics.BAG, session.max_steps)
+
+        before = key()
+        session.set_dependencies(list(ex41.dependencies)[:-1])
+        assert key() != before
         session.set_dependencies(ex41.dependencies)
-        session.decide(ex41.q1, ex41.q4, "bag")
-        assert session.chase_profile().cache_keys_built == built + 2
+        assert key() == before
 
 
 class TestMultiprocessingRoundTrip:

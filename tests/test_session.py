@@ -428,106 +428,3 @@ class TestEngineGuards:
         result = session41.reformulate(aggregate)
         assert result.core_result.semantics is Semantics.BAG_SET
 
-
-class TestKeyMemoBound:
-    """The per-query ChaseKey memo is weak keyed *and* LRU bounded.
-
-    Satellite of the uid-kernel PR (ROADMAP: cache-key memo eviction):
-    weak keys alone cannot bound a caller that holds millions of distinct
-    live queries, so the memo applies the chase cache's LRU policy.
-    """
-
-    def _session(self, **kwargs):
-        from repro.paperlib import example_4_1
-
-        return Session(dependencies=example_4_1().dependencies, **kwargs)
-
-    def test_memo_is_bounded_by_the_cache_size(self):
-        from repro.core.atoms import Atom
-        from repro.core.query import ConjunctiveQuery
-
-        session = self._session(cache_size=8)
-        queries = [
-            ConjunctiveQuery("Q", ["X"], [Atom(f"memo_bound_p{i}", ["X"])])
-            for i in range(32)
-        ]
-        for query in queries:
-            session.chase(query, "set")
-        assert len(session._key_memo) <= 8
-        assert session._key_memo.evictions >= 32 - 8
-        del queries
-
-    def test_memo_entry_dies_with_its_query(self):
-        import gc
-
-        from repro.core.atoms import Atom
-        from repro.core.query import ConjunctiveQuery
-
-        session = self._session()
-        query = ConjunctiveQuery("Q", ["X"], [Atom("memo_weak_p", ["X"])])
-        session.chase(query, "set")
-        size_with_query = len(session._key_memo)
-        assert size_with_query >= 1
-        # The chase cache holds the terminal result — which, for this no-op
-        # chase, is the query object itself — so drop it before collecting.
-        session.cache.invalidate()
-        del query
-        gc.collect()
-        assert len(session._key_memo) < size_with_query
-
-    def test_memo_recency_survives_reuse(self):
-        """A repeatedly used query is not evicted by newer one-off queries."""
-        from repro.core.atoms import Atom
-        from repro.core.query import ConjunctiveQuery
-
-        session = self._session(cache_size=4)
-        hot = ConjunctiveQuery("Q", ["X"], [Atom("memo_hot_p", ["X"])])
-        session.chase(hot, "set")
-        profile_before = session.chase_profile()
-        cold = [
-            ConjunctiveQuery("Q", ["X"], [Atom(f"memo_cold_p{i}", ["X"])])
-            for i in range(3)
-        ]
-        for query in cold:
-            session.chase(query, "set")
-            session.chase(hot, "set")  # refresh recency
-        profile_after = session.chase_profile()
-        # Every post-warmup decision on `hot` reused the memoized key.
-        assert (
-            profile_after.cache_keys_reused - profile_before.cache_keys_reused >= 3
-        )
-
-    def test_weak_key_lru_unit_behaviour(self):
-        import gc
-
-        from repro.core.atoms import Atom
-        from repro.core.query import ConjunctiveQuery
-        from repro.session.cache import WeakKeyLRU
-
-        memo = WeakKeyLRU(2)
-        q1 = ConjunctiveQuery("Q", ["X"], [Atom("lru_p1", ["X"])])
-        q2 = ConjunctiveQuery("Q", ["X"], [Atom("lru_p2", ["X"])])
-        q3 = ConjunctiveQuery("Q", ["X"], [Atom("lru_p3", ["X"])])
-        memo.put(q1, "one")
-        memo.put(q2, "two")
-        assert memo.get(q1) == "one"  # refreshes q1's recency
-        memo.put(q3, "three")  # evicts q2, the least recently used
-        assert memo.get(q2) is None
-        assert memo.get(q1) == "one" and memo.get(q3) == "three"
-        assert memo.evictions == 1
-        # Overwriting an existing key neither grows nor evicts.
-        memo.put(q1, "one-updated")
-        assert memo.get(q1) == "one-updated"
-        assert len(memo) == 2
-        # Death of a key drops its entry without an eviction.
-        del q3
-        gc.collect()
-        assert len(memo) == 1
-        memo.clear()
-        assert len(memo) == 0
-
-    def test_weak_key_lru_rejects_nonpositive_size(self):
-        from repro.session.cache import WeakKeyLRU
-
-        with pytest.raises(ValueError):
-            WeakKeyLRU(0)
