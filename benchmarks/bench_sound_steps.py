@@ -12,7 +12,7 @@ The **probe tiers** (``bench_sound_steps_cold_probe``) additionally measure
 the per-step soundness tests themselves — ``is_sound_chase_step`` across all
 of Σ against a workload query, the exact inner loop of every chase round and
 of Algorithms 1/2 — on the binding-level kernel (shared index, per-Σ plan
-cache, Definition 4.3 memo) against a reference scan assembled from the
+cache and its Definition 4.3 memo) against a reference scan assembled from the
 frozen :mod:`repro.chase.reference` building blocks.  Both scans must agree
 on every verdict; the large tier asserts the ≥1.3x speedup floor of the
 binding-level rework and CI trend-gates the small tier's counters.
@@ -66,12 +66,11 @@ def _accelerated_scan(query, dependencies, semantics):
     """One shared-state soundness scan of Σ, as the sigma-subset drivers run it."""
     cache = PlanCache()
     index = TargetIndex(query.body)
-    memo: dict = {}
     profile = ChaseProfile(semantics=str(semantics))
     verdicts = [
         is_sound_chase_step(
             query, dependency, dependencies, semantics, PROBE_MAX_STEPS,
-            plan_cache=cache, index=index, memo=memo, profile=profile,
+            plan_cache=cache, index=index, profile=profile,
         )
         for dependency in dependencies
     ]

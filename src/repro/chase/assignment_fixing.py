@@ -23,42 +23,56 @@ key-based tgds / UWDs (Definition 5.1, Example 4.8); the comparison helper
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, MutableMapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from ..core.query import ConjunctiveQuery
-from ..core.terms import Term
+from ..core.terms import Term, Variable
 from ..dependencies.base import TGD, Dependency, DependencySet
 from ..dependencies.classify import is_key_based_tgd
 from .plans import PlanCache, TGDPlan, default_plan_cache
 from .profile import ChaseProfile
 from .set_chase import DEFAULT_MAX_STEPS, set_chase
 from .steps import iter_applicable_tgd_bindings, trigger_homomorphism
-from .test_query import AssociatedTestQuery, associated_test_query
+from .test_query import associated_test_query
 
 
-def _canonical_verdict_key(test: AssociatedTestQuery, max_steps: int) -> Hashable:
-    """A key under which structurally identical Definition 4.3 tests coincide.
+#: How many Definition 4.3 verdicts one compiled Σ keeps (least recently used
+#: first out); see :attr:`repro.chase.plans.SigmaPlans.verdicts`.
+VERDICT_MEMO_SIZE = 256
 
-    The verdict is a pure function of (test query, monitored pairs, Σ,
-    max_steps).  The query contributes its structural key (a deterministic
-    variable renaming), and each monitored variable is represented by its
-    first-occurrence position in the head-then-body term stream — the same
-    order the renaming canonicalizes on — so two alpha-variant tests that
-    monitor corresponding variables share a key.  Σ is fixed by the memo's
-    owner (one memo per chase run), so it does not appear in the key.
+
+def _verdict_key(
+    query: ConjunctiveQuery,
+    tgd: TGD,
+    existential: Sequence[Variable],
+    homomorphism: Mapping[Term, Term],
+    max_steps: int,
+) -> Hashable:
+    """The memo key of one Definition 4.3 test, read straight off the atoms.
+
+    The verdict is a pure function of the test query's body up to renaming
+    (the test chase reads nothing else), Σ, which the memo's owner fixes,
+    and ``max_steps``.  That body is Q's body plus two copies of σ's
+    conclusion, so Q's body, σ and h's frontier images determine it.  In
+    the stream, each body atom leads with its signature id and ``None``
+    ends the body, so it reads back one way only; variables are numbered
+    by first occurrence and constants stand for themselves.
     """
-    query = test.query
-    positions: dict[Term, int] = {}
-    for term in query.head_terms:
-        positions.setdefault(term, len(positions))
+    numbers: dict[Term, int] = {}
+    number = numbers.setdefault
+    stream: list[object] = []
+    push = stream.append
     for atom in query.body:
+        push(atom.sig_id)
         for term in atom.terms:
-            positions.setdefault(term, len(positions))
-    pair_positions = tuple(
-        (positions.get(z_var, -1), positions.get(theta_var, -1))
-        for z_var, theta_var in test.existential_pairs
-    )
-    return (query.structural_key(), pair_positions, max_steps)
+            push(number(term, len(numbers)) if type(term) is Variable else term)
+    push(None)
+    for atom in tgd.conclusion:
+        for term in atom.terms:
+            if term not in existential:
+                image = homomorphism.get(term, term)
+                push(number(image, len(numbers)) if type(image) is Variable else image)
+    return (tgd, max_steps, tuple(stream))
 
 
 def is_assignment_fixing_for(
@@ -68,7 +82,6 @@ def is_assignment_fixing_for(
     dependencies: DependencySet | Sequence[Dependency],
     max_steps: int = DEFAULT_MAX_STEPS,
     *,
-    memo: MutableMapping[Hashable, bool] | None = None,
     profile: ChaseProfile | None = None,
     plan_cache: PlanCache | None = None,
 ) -> bool:
@@ -89,29 +102,32 @@ def is_assignment_fixing_for(
     regularization is enforced here.  The *sound chase* always regularizes
     its dependency set first, so soundness is unaffected.
 
-    ``memo`` caches verdicts per canonicalized test query within one chase
-    run (the owner must keep Σ and the step budget fixed for the memo's
-    lifetime); the verdict being a pure function of the canonical test, a
-    hit is exact, not approximate.  ``profile`` receives the test/hit
-    counters and the index counters of the test chase; ``plan_cache`` is
-    handed to the test chase so it reuses the caller's compiled plans.
+    Test-chase verdicts are kept on Σ's compiled plans in ``plan_cache``
+    (:attr:`~repro.chase.plans.SigmaPlans.verdicts`, an LRU of
+    :data:`VERDICT_MEMO_SIZE`), so a compiled Σ runs each test once across
+    chase runs.  A hit builds no test query and is exact; ``profile``
+    counts it, the tests and the test chases' index counters.
     """
-    if tgd.is_full():
+    existential = tgd.existential_variables()
+    if not existential:
         # Proposition 4.3.
         return True
     cache = plan_cache if plan_cache is not None else default_plan_cache()
-    if cache.plans_for(dependencies).assignment_fixing_rule().decides(query, tgd):
+    plans = cache.plans_for(dependencies)
+    if plans.assignment_fixing_rule().decides(query, tgd):
         if profile is not None:
             profile.assignment_fixing_static += 1
         return True
+    verdicts = plans.verdicts
+    key = _verdict_key(query, tgd, existential, homomorphism, max_steps)
+    # Pop and re-insert: a concurrent eviction costs a test chase, not a KeyError.
+    cached = verdicts.pop(key, None)
+    if cached is not None:
+        verdicts[key] = cached
+        if profile is not None:
+            profile.assignment_fixing_cache_hits += 1
+        return cached
     test = associated_test_query(query, tgd, homomorphism)
-    if memo is not None:
-        key = _canonical_verdict_key(test, max_steps)
-        cached = memo.get(key)
-        if cached is not None:
-            if profile is not None:
-                profile.assignment_fixing_cache_hits += 1
-            return cached
     chased = set_chase(test.query, dependencies, max_steps=max_steps, plan_cache=cache)
     if profile is not None:
         profile.assignment_fixing_tests += 1
@@ -128,8 +144,9 @@ def is_assignment_fixing_for(
         if z_var in surviving and theta_var in surviving:
             verdict = False
             break
-    if memo is not None:
-        memo[key] = verdict
+    verdicts[key] = verdict
+    if len(verdicts) > VERDICT_MEMO_SIZE:
+        verdicts.popitem(last=False)
     return verdict
 
 

@@ -489,7 +489,6 @@ def _replay(
     set_valued: frozenset[str],
     max_steps: int,
     cache: PlanCache,
-    memo: dict[Hashable, bool],
     profile: ChaseProfile,
 ) -> tuple[ConjunctiveQuery, list[ChaseStepRecord]]:
     """The start state of a bag or bag-set resume: the records, replayed on *new_base*.
@@ -498,32 +497,38 @@ def _replay(
     that include the delta.  Theorems 4.1/4.3: egd steps are always sound;
     tgd steps must still be applicable (non-satisfied) triggers and still
     assignment-fixing against the grown state and Σ, or the resume is
-    abandoned.  The Definition 4.3 re-checks share the run's *memo* and
-    count on its *profile*.  One body index serves the replay: tgd records
-    grow it, egd records (which rewrite terms) drop it, and the next tgd
-    record rebuilds it.
+    abandoned.
+
+    A record costs what it adds.  As in :func:`~repro.chase.sound_chase.
+    tgd_step_policy`, full tgds and, when *new_base* passes gates 2 and 3,
+    key-determined ones need no Definition 4.3 test: each record is a chase
+    step, so every replayed state passes the gates too (see
+    :meth:`~repro.chase.plans.AssignmentFixingRule.holds_for`).  Tgd records
+    grow the state, without re-validating it, and one body index and one
+    body set with it; egd records (which rewrite terms) rebuild both.
     """
     semantics = checkpoint.semantics
     items_sigma = plans.dependency_set()
     dedup = dedup_predicates(semantics, set_valued)
+    rule = plans.assignment_fixing_rule()
+    gates_hold = rule.holds_for(new_base)
     tgd_positions = {
         _dependency_key(tgd): position for position, tgd in enumerate(plans.tgds)
     }
     current = new_base
     records: list[ChaseStepRecord] = []
-    index: TargetIndex | None = None
+    index = TargetIndex(current.body)
+    body = set(current.body)
     for record in checkpoint.result.steps:
         if record.kind == "egd":
-            body = set(current.body)
             if any(
                 atom.substitute(record.homomorphism) not in body
                 for atom in record.dependency.premise
             ):
                 raise _ResumeAbandoned("replay-premise-lost")
-            current = current.substitute(record.substitution)
-            current = deduplicate_body(current, dedup)
+            current = deduplicate_body(current.substitute(record.substitution), dedup)
             records.append(record)
-            index = None
+            index, body = TargetIndex(current.body), set(current.body)
             continue
         tgd = record.dependency
         assert isinstance(tgd, TGD)
@@ -534,20 +539,23 @@ def _replay(
         position = tgd_positions.get(_dependency_key(tgd))
         if position is None:
             raise _ResumeAbandoned("replay-dependency-lost")
-        if index is None:
-            index = TargetIndex(current.body)
+        plan = plans.tgd_plans[position]
         if not is_recorded_trigger_applicable(
-            current, tgd, record.homomorphism,
-            index=index, plan=plans.tgd_plans[position],
+            current, tgd, record.homomorphism, index=index, plan=plan, body=body,
         ):
             raise _ResumeAbandoned("replay-trigger-invalid")
-        if not is_assignment_fixing_for(
-            current, tgd, record.homomorphism, items_sigma, max_steps,
-            memo=memo, profile=profile, plan_cache=cache,
-        ):
-            raise _ResumeAbandoned("replay-not-assignment-fixing")
-        current = current.add_atoms(record.added_atoms)
-        index.extend(record.added_atoms)
+        if plan.existential:  # a full tgd is assignment fixing (Proposition 4.3)
+            if gates_hold and rule.is_key_determined(tgd):
+                profile.assignment_fixing_static += 1
+            elif not is_assignment_fixing_for(
+                current, tgd, record.homomorphism, items_sigma, max_steps,
+                profile=profile, plan_cache=cache,
+            ):
+                raise _ResumeAbandoned("replay-not-assignment-fixing")
+        added = record.added_atoms
+        current = current.with_safe_body(current.body + added)
+        index.extend(added)
+        body.update(added)
         records.append(record)
     return current, records
 
@@ -567,8 +575,7 @@ def _resume(
     bag-set run replay-validates the records on the new base
     (:func:`_replay`).  Either way the trigger frontier is seeded from the
     checkpoint and dirtied for the delta's predicates, and the loop runs
-    with the semantics' tgd-step policy, which shares the replay's
-    Definition 4.3 memo.
+    with the semantics' tgd-step policy.
     """
     semantics = checkpoint.semantics
     set_valued = new_sigma.set_valued_predicates
@@ -580,7 +587,6 @@ def _resume(
     profile = ChaseProfile(semantics=str(semantics))
     started = time.perf_counter()
     core_stats = snapshot_core_stats()
-    memo: dict[Hashable, bool] = {}
     added: Sequence[Atom] = delta.added_atoms
     if semantics is Semantics.SET:
         # The delta atoms, rewritten by the run's composed egd substitution.
@@ -595,7 +601,7 @@ def _resume(
         records = list(checkpoint.result.steps)
     else:
         current, records = _replay(
-            checkpoint, new_base, plans, set_valued, max_steps, cache, memo, profile
+            checkpoint, new_base, plans, set_valued, max_steps, cache, profile
         )
     replayed = len(records)
     used_names = set(checkpoint.used_names)
@@ -610,7 +616,7 @@ def _resume(
     egd_state.note_added(added_predicates)
     tgd_state.note_added(added_predicates)
 
-    tgd_step = tgd_step_policy(current, plans, semantics, set_valued, max_steps, cache, memo)
+    tgd_step = tgd_step_policy(current, plans, semantics, set_valued, max_steps, cache)
     terminal = _drive_chase(
         current, plans, tgd_step, dedup_predicates(semantics, set_valued),
         egd_state, tgd_state, used_names, records, profile, max_steps,

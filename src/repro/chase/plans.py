@@ -14,7 +14,8 @@ each dependency's atoms into :class:`~repro.core.plan.MatchPlan` int plans
   sub-plans, and for an egd its two-atom gate;
 * :class:`SigmaPlans` — one regularized dependency list's plans, split by
   kind exactly the way the chase loop splits dependencies, plus the
-  premise-predicate trigger maps shared by every run's ``TriggerIndex``;
+  premise-predicate trigger maps shared by every run's ``TriggerIndex`` and
+  a bounded memo of the Definition 4.3 verdicts its test chases gave;
 * :class:`AssignmentFixingRule` — Σ's chase-free Definition 4.3 verdicts
   for key-determined tgds, built lazily once per :class:`SigmaPlans`;
 * :class:`BackchaseSigma` — what C&B's verdict table needs of Σ alone, built
@@ -397,6 +398,7 @@ class SigmaPlans:
         "tgd_plans",
         "egd_trigger_map",
         "tgd_trigger_map",
+        "verdicts",
         "_sigma",
         "_af_rule",
         "_backchase",
@@ -411,6 +413,7 @@ class SigmaPlans:
         self.tgd_plans: list[TGDPlan] = [TGDPlan(tgd) for tgd in self.tgds]
         self.egd_trigger_map = _trigger_map(self.egd_plans)
         self.tgd_trigger_map = _trigger_map(self.tgd_plans)
+        self.verdicts: OrderedDict[Hashable, bool] = OrderedDict()
         self._sigma: DependencySet | None = None
         self._af_rule: AssignmentFixingRule | None = None
         self._backchase: dict[tuple[Semantics, frozenset[str]], BackchaseSigma] = {}
@@ -496,7 +499,7 @@ class PlanCache:
         return (self.hits, self.misses)
 
     def invalidate(self) -> None:
-        """Drop every compiled plan (counters survive)."""
+        """Drop every compiled plan, and with them their verdicts (counters survive)."""
         self._entries.clear()
 
     def __len__(self) -> int:

@@ -92,7 +92,7 @@ class ChaseProfile:
     plans_compiled: int = 0
     plans_reused: int = 0
     #: Assignment-fixing verdicts computed via a test-query chase vs served
-    #: from the per-run memo (Definition 4.3 work avoided).
+    #: from the compiled Σ's verdict memo, which outlives the run.
     assignment_fixing_tests: int = 0
     assignment_fixing_cache_hits: int = 0
     #: Assignment-fixing verdicts settled without a test chase by the

@@ -16,17 +16,16 @@ The scan itself shares its state across the per-dependency
 ``is_sound_chase_step`` calls: one :class:`~repro.core.homomorphism.
 TargetIndex` over the terminal query body, one regularized Σ and one set of
 compiled plans (served by the :class:`~repro.chase.plans.PlanCache`, keyed
-on Σ's memoized fingerprint), and one Definition 4.3 verdict memo — Σ and
-the step budget are fixed for the whole scan, which is exactly the memo's
-soundness condition.  ``SigmaSubsetResult.scan_profile`` records what the
-scan did (the nested chase that produced ``chase_result`` keeps its own
+on Σ's memoized fingerprint), whose compiled Σ also memoizes the
+Definition 4.3 verdicts.  ``SigmaSubsetResult.scan_profile`` records what
+the scan did (the nested chase that produced ``chase_result`` keeps its own
 profile).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from ..core.homomorphism import TargetIndex
 from ..core.query import ConjunctiveQuery
@@ -68,21 +67,20 @@ def scan_sigma_subset(
     *dependencies* and *semantics* — callers that already hold one (the
     :class:`~repro.session.Session` serves it from its chase cache) skip the
     chase entirely.  Every dependency is checked against the same terminal
-    query under the same Σ and budget, so one body index, one plan-cache
-    view, and one Definition 4.3 verdict memo serve the whole scan.
+    query under the same Σ and budget, so one body index and one plan-cache
+    view serve the whole scan.
     """
     cache = plan_cache if plan_cache is not None else default_plan_cache()
     profile = ChaseProfile(semantics=str(semantics))
     core_stats = snapshot_core_stats()
     plan_stats = cache.snapshot()
     index = TargetIndex(chased.query.body)
-    memo: dict[Hashable, bool] = {}
     kept: list[Dependency] = []
     removed: list[Dependency] = []
     for dependency in dependencies:
         if is_sound_chase_step(
             chased.query, dependency, dependencies, semantics, max_steps,
-            plan_cache=cache, index=index, memo=memo, profile=profile,
+            plan_cache=cache, index=index, profile=profile,
         ):
             kept.append(dependency)
         else:

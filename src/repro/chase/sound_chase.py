@@ -33,12 +33,13 @@ add, egd steps (which rewrite terms) rebuild it — and a
 cannot have gained a trigger, probes a dirtied one through the atoms added
 since its last clean scan, and resumes the scan of a tgd decided without a
 Definition 4.3 test where it last fired.  Definition 4.3 verdicts are
-memoized per canonicalized test query within the run, or settled without a
-test chase: full tgds by Proposition 4.3, key-determined tgds by
-:class:`~repro.chase.plans.AssignmentFixingRule`, whose query gates the
-policy decides once, on the run's start state.  Tgd steps are applied
-through their compiled :class:`~repro.chase.plans.TGDPlan`, so a step's
-Python work follows what it adds.  The applied step sequence is
+settled without a test chase where they can be (full tgds by Proposition
+4.3, key-determined tgds by :class:`~repro.chase.plans.AssignmentFixingRule`,
+whose query gates the policy decides once, on the run's start state), and
+otherwise memoized on the compiled Σ, across runs (see
+:func:`~repro.chase.assignment_fixing.is_assignment_fixing_for`).  Tgd
+steps are applied through their compiled :class:`~repro.chase.plans.TGDPlan`,
+so a step's Python work follows what it adds.  The applied step sequence is
 byte-identical to the pre-index implementation (frozen in
 :mod:`repro.chase.reference`); each result carries a
 :class:`~repro.chase.profile.ChaseProfile` of the work done and skipped.
@@ -46,7 +47,7 @@ byte-identical to the pre-index implementation (frozen in
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from ..core.homomorphism import Homomorphism, TargetIndex
 from ..core.query import ConjunctiveQuery
@@ -99,7 +100,6 @@ def tgd_step_policy(
     set_valued: frozenset[str],
     max_steps: int,
     cache: PlanCache,
-    memo: dict[Hashable, bool] | None = None,
 ) -> TGDStepPolicy:
     """The tgd-step policy of one run under *semantics* from *start*.
 
@@ -113,8 +113,7 @@ def tgd_step_policy(
     premise.  A scan that found applicable-but-not-assignment-fixing
     homomorphisms is left dirty — Definition 4.3's verdict is taken against
     the whole current query and can flip to sound as the query grows — and
-    the per-run ``memo`` absorbs its repeated test chases (a resume passes
-    the memo its replay filled).
+    the compiled Σ's verdict memo absorbs its repeated test chases.
 
     Full tgds (Proposition 4.3) and, when *start* passes gates 2 and 3 of
     :class:`~repro.chase.plans.AssignmentFixingRule`, key-determined tgds
@@ -135,7 +134,6 @@ def tgd_step_policy(
     items_sigma = plans.dependency_set()
     tgd_plans = plans.tgd_plans
     bag = semantics is Semantics.BAG
-    af_memo: dict[Hashable, bool] = {} if memo is None else memo
 
     def first_sound_step(
         query: ConjunctiveQuery,
@@ -177,7 +175,7 @@ def tgd_step_policy(
                     return plan, homomorphism
                 if is_assignment_fixing_for(
                     query, tgd, homomorphism, items_sigma, max_steps,
-                    memo=af_memo, profile=profile, plan_cache=cache,
+                    profile=profile, plan_cache=cache,
                 ):
                     return plan, homomorphism
             if not applicable:
@@ -244,7 +242,6 @@ def is_sound_chase_step(
     *,
     plan_cache: PlanCache | None = None,
     index: TargetIndex | None = None,
-    memo: dict[Hashable, bool] | None = None,
     profile: ChaseProfile | None = None,
 ) -> bool:
     """Is every applicable chase step of *dependency* on *query* sound?
@@ -266,10 +263,9 @@ def is_sound_chase_step(
     dependency's regularized component plans are compiled once and reused
     across calls.  A sigma-subset scan checks every dependency of Σ against
     the *same* terminal query, so it additionally shares one ``index`` over
-    the query body, one Definition 4.3 verdict ``memo`` (sound only while
-    Σ and *max_steps* stay fixed, which the scan guarantees), and one
-    ``profile`` across the whole scan — see
-    :func:`repro.chase.sigma_subset.max_bag_sigma_subset`.
+    the query body and one ``profile`` across the whole scan — see
+    :func:`repro.chase.sigma_subset.max_bag_sigma_subset`.  Definition 4.3
+    verdicts are memoized on the compiled Σ in ``plan_cache``.
     """
     semantics = Semantics.from_name(semantics)
     # Fast paths first (Theorems 4.1/4.3 item 2): no regularization, no
@@ -307,7 +303,7 @@ def is_sound_chase_step(
             homomorphism = trigger_homomorphism(plan, match)
             if not is_assignment_fixing_for(
                 query, component, homomorphism, items_sigma, max_steps,
-                memo=memo, profile=profile, plan_cache=cache,
+                profile=profile, plan_cache=cache,
             ):
                 return False
     # Either not applicable at all (vacuously sound) or every applicable step

@@ -19,7 +19,7 @@ the tests use to assert what the chase actually did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import AbstractSet, Iterator, Mapping
 
 from ..core.atoms import Atom
 from ..core.homomorphism import (
@@ -163,6 +163,7 @@ def is_recorded_trigger_applicable(
     *,
     index: TargetIndex | None = None,
     plan: TGDPlan | None = None,
+    body: AbstractSet[Atom] | None = None,
 ) -> bool:
     """Is the *recorded* premise homomorphism still an applicable trigger?
 
@@ -174,13 +175,15 @@ def is_recorded_trigger_applicable(
     (b) is *not* monotone in the body: atoms added by a delta can satisfy
     the conclusion, in which case re-adding the recorded atoms would no
     longer be a chase step at all and the caller must fall back to a cold
-    run.
+    run.  ``index`` and ``body`` (the body's atoms as a set) let a replay
+    share one index and one set across its records, growing both.
     """
     if index is None:
         index = TargetIndex(query.body)
     if plan is None:
         plan = TGDPlan(tgd)
-    body = set(query.body)
+    if body is None:
+        body = set(query.body)
     if any(atom.substitute(homomorphism) not in body for atom in tgd.premise):
         return False
     return find_match(plan.conclusion, index, fixed=homomorphism) is None

@@ -72,13 +72,13 @@ def associated_test_query(
     else:
         # Full tgd: Equation 3 — a single copy, duplicates dropped below.
         second_copy = first_copy
-    body = list(query.body) + [atom for atom in new_atoms if True]
 
     # Drop literal duplicates introduced by a full tgd (Equation 3).
-    deduplicated: list[Atom] = []
-    seen: set[Atom] = set()
-    for atom in body:
-        if atom in query.body or atom not in seen:
+    deduplicated = list(query.body)
+    original = set(deduplicated)
+    seen = set(original)
+    for atom in new_atoms:
+        if atom in original or atom not in seen:
             deduplicated.append(atom)
             seen.add(atom)
 

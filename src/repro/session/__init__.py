@@ -17,7 +17,7 @@ functional helpers (``equivalent_under_dependencies``,
 """
 
 from .batch import BatchItem, BatchReport, decide_many, reformulate_many
-from .cache import CacheStats, ChaseCache, chase_cache_key, sigma_fingerprint
+from .cache import CacheStats, ChaseCache
 from .engine import ChaseResultStore, Session, assert_proposition_6_1
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "ChaseResultStore",
     "Session",
     "assert_proposition_6_1",
-    "chase_cache_key",
     "decide_many",
     "reformulate_many",
-    "sigma_fingerprint",
 ]

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from ..core.query import ConjunctiveQuery
-from ..dependencies.base import Dependency, DependencySet
+from ..dependencies.base import DependencySet
 
 
 class _Missing:
@@ -50,23 +50,15 @@ class _Missing:
 MISSING = _Missing()
 
 
-def sigma_fingerprint(dependencies: DependencySet | Iterable[Dependency]) -> Hashable:
-    """A hashable, name-insensitive fingerprint of a dependency set.
-
-    Delegates to :attr:`~repro.dependencies.base.DependencySet.fingerprint`,
-    which memoizes the value per set object; a plain iterable of
-    dependencies is coerced (and fingerprinted with no set-valued markers).
-    """
-    return DependencySet.coerce(dependencies).fingerprint
-
-
-def sigma_part(dependencies: DependencySet | Iterable[Dependency]) -> tuple[Hashable, int]:
+def sigma_part(dependencies: DependencySet) -> tuple[Hashable, int]:
     """Σ's part of a chase key: its fingerprint and the fingerprint's hash.
 
-    Callers that build many keys under one Σ compute this once (the Session
-    keeps it until Σ changes).
+    The fingerprint is :attr:`~repro.dependencies.base.DependencySet.
+    fingerprint`, name-insensitive and memoized per set object.  Callers
+    that build many keys under one Σ compute this once (the Session keeps
+    it until Σ changes).
     """
-    fingerprint = sigma_fingerprint(dependencies)
+    fingerprint = dependencies.fingerprint
     return fingerprint, hash(fingerprint)
 
 
@@ -108,20 +100,6 @@ class ChaseKey:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ChaseKey({self.parts!r})"
-
-
-def chase_cache_key(
-    query: ConjunctiveQuery,
-    dependencies: DependencySet | Iterable[Dependency],
-    semantics: Hashable,
-    max_steps: int,
-) -> ChaseKey:
-    """The canonical cache key of one chase invocation.
-
-    ``semantics`` is any hashable semantics discriminator — the Session
-    passes a frozen (name, class path) pair per semantics.
-    """
-    return ChaseKey(query, sigma_part(dependencies), semantics, max_steps)
 
 
 @dataclass(frozen=True)

@@ -6,21 +6,32 @@ positions, Σ has no constant, and the query's constants sit only in atoms
 no premise of Σ mentions.  These tests pin the rule on Example 4.1 and the
 chain fixture, exercise each gate, and run a seeded differential campaign:
 wherever the forced test chase terminates, the rule agrees with it, and the
-sound chase applies exactly the reference engine's steps.
+sound chase applies exactly the reference engine's steps.  They also pin
+the memo of tested verdicts each compiled Σ keeps: its key, its scope and
+its bound.  A test that counts test chases runs on a fresh
+:class:`~repro.chase.plans.PlanCache`, because the process-wide one carries
+verdicts from one test into the next.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.chase import (
+    PlanCache,
     default_plan_cache,
     is_assignment_fixing_for,
     iter_applicable_tgd_homomorphisms,
     sound_chase,
 )
+from repro.chase import assignment_fixing
+from repro.chase import plans as chase_plans
+from repro.chase.assignment_fixing import VERDICT_MEMO_SIZE
+from repro.chase.profile import ChaseProfile
 from repro.chase.reference import _is_assignment_fixing_for, sound_chase_reference
 from repro.chase.steps import ChaseFailedError
 from repro.cli import main
@@ -73,20 +84,22 @@ class TestExample41:
         """σ2 and σ1's s part are decided by the rule; σ1's t part is chased
         under both semantics, σ4's u part only under bag-set (u is not set
         valued, so Theorem 4.1 rules it out under bag before any test)."""
-        result = sound_chase(ex41.q4, ex41.dependencies, semantics)
+        result = sound_chase(ex41.q4, ex41.dependencies, semantics, plan_cache=PlanCache())
         reference = sound_chase_reference(ex41.q4, ex41.dependencies, semantics)
         assert (result.query, result.steps) == (reference.query, reference.steps)
         assert result.profile.assignment_fixing_tests == tests
         assert result.profile.assignment_fixing_static == static
         assert result.profile.assignment_fixing_cache_hits == 0
 
-    def test_session_stats_and_cli_profile(self, ex41, capsys):
-        session = Session(dependencies=ex41.dependencies)
+    def test_session_stats_and_cli_profile(self, ex41, capsys, monkeypatch):
+        session = Session(dependencies=ex41.dependencies, plan_cache=PlanCache())
         session.decide(ex41.q4, ex41.q2, "bag-set")
         profile = session.stats()["profile"]
         assert profile["assignment_fixing_static"] == 2
         assert profile["assignment_fixing_tests"] == 3
 
+        # The CLI's Session serves its plans from the process-wide cache.
+        monkeypatch.setattr(chase_plans, "_DEFAULT_PLAN_CACHE", PlanCache())
         code = main([
             "chase",
             "--query", "Q4(X) :- p(X,Y)",
@@ -193,7 +206,7 @@ class TestGates:
             parse_dependencies(KEYED_SIGMA + extra).dependencies, ["s", "f"]
         )
         query = parse_query(text)
-        result = sound_chase(query, sigma, semantics)
+        result = sound_chase(query, sigma, semantics, plan_cache=PlanCache())
         reference = sound_chase_reference(query, sigma, semantics)
         assert [str(step) for step in result.steps] == [
             str(step) for step in reference.steps
@@ -207,6 +220,138 @@ class TestGates:
         sigma = parse_dependencies(KEYED_SIGMA)
         plans = default_plan_cache().plans_for(sigma)
         assert plans.assignment_fixing_rule() is plans.assignment_fixing_rule()
+
+
+# --------------------------------------------------------------------------- #
+# The verdict memo of a compiled Σ
+# --------------------------------------------------------------------------- #
+#: A key on s that binds only where ok(X, 1) holds: no rule decides the tgd
+#: (the egd is no fd, and Σ holds a constant), so every trigger is tested.
+GUARDED_SIGMA = """
+p(X,Y) -> s(X,Z)
+s(X,Y) & s(X,Z) & ok(X, 1) -> Y = Z
+"""
+
+
+class TestVerdictMemo:
+    @staticmethod
+    def _ask(cache, text, max_steps=MAX_STEPS, trigger=0):
+        """Definition 4.3 on one trigger of GUARDED_SIGMA's tgd: (verdict, profile)."""
+        sigma = parse_dependencies(GUARDED_SIGMA)
+        query = parse_query(text)
+        tgd = sigma.tgds()[0]
+        hom = list(iter_applicable_tgd_homomorphisms(query, tgd))[trigger]
+        profile = ChaseProfile()
+        verdict = is_assignment_fixing_for(
+            query, tgd, hom, sigma, max_steps, profile=profile, plan_cache=cache
+        )
+        assert verdict == _is_assignment_fixing_for(query, tgd, hom, list(sigma), max_steps)
+        return verdict, (profile.assignment_fixing_tests, profile.assignment_fixing_cache_hits)
+
+    @staticmethod
+    def _verdicts(cache):
+        return cache.plans_for(parse_dependencies(GUARDED_SIGMA)).verdicts
+
+    def test_a_fresh_plan_cache_starts_empty(self):
+        assert len(self._verdicts(PlanCache())) == 0
+
+    def test_an_alpha_variant_hits(self):
+        cache = PlanCache()
+        assert self._ask(cache, "Q(A) :- p(A,B), ok(A, 1)") == (True, (1, 0))
+        assert self._ask(cache, "Q(U) :- p(U,V), ok(U, 1)") == (True, (0, 1))
+        assert len(self._verdicts(cache)) == 1
+
+    def test_a_constant_and_a_variable_at_one_position_differ(self):
+        cache = PlanCache()
+        assert self._ask(cache, "Q(A) :- p(A,B), ok(A, 1)") == (True, (1, 0))
+        assert self._ask(cache, "Q(A) :- p(A,B), ok(A, C)") == (False, (1, 0))
+        assert len(self._verdicts(cache)) == 2
+
+    def test_frontier_images_are_part_of_the_key(self):
+        cache = PlanCache()
+        text = "Q(A) :- p(A,B), p(C,D), ok(A, 1)"
+        assert self._ask(cache, text, trigger=0) == (True, (1, 0))
+        assert self._ask(cache, text, trigger=1) == (False, (1, 0))
+        assert self._ask(cache, text, trigger=0) == (True, (0, 1))
+
+    def test_the_step_budget_is_part_of_the_key(self):
+        """One round applies the egd and the next finds the fixpoint, so a
+        budget of 1 exhausts where a larger one answers True."""
+        cache = PlanCache()
+        text = "Q(A) :- p(A,B), ok(A, 1)"
+        assert self._ask(cache, text, max_steps=2) == (True, (1, 0))
+        sigma = parse_dependencies(GUARDED_SIGMA)
+        query = parse_query(text)
+        (hom,) = iter_applicable_tgd_homomorphisms(query, sigma.tgds()[0])
+        with pytest.raises(ChaseNonTerminationError):
+            is_assignment_fixing_for(query, sigma.tgds()[0], hom, sigma, 1, plan_cache=cache)
+        assert len(self._verdicts(cache)) == 1
+
+    def test_invalidate_and_eviction_drop_the_verdicts(self):
+        text = "Q(A) :- p(A,B), ok(A, 1)"
+        cache = PlanCache()
+        self._ask(cache, text)
+        cache.invalidate()
+        assert len(self._verdicts(cache)) == 0
+        assert self._ask(cache, text) == (True, (1, 0))
+
+        cache = PlanCache(maxsize=1)
+        self._ask(cache, text)
+        cache.plans_for(parse_dependencies(KEYED_SIGMA))
+        assert cache.evictions >= 1
+        assert self._ask(cache, text) == (True, (1, 0))
+
+    def test_the_bound_holds_least_recently_used_first_out(self):
+        cache = PlanCache()
+        text = "Q(A) :- p(A,B), ok(A, 1)"
+        for budget in range(2, VERDICT_MEMO_SIZE + 4):
+            self._ask(cache, text, max_steps=budget)
+        assert len(self._verdicts(cache)) == VERDICT_MEMO_SIZE
+        # Budgets 2 and 3 are out; a hit makes 4 the most recently used, so
+        # asking 2 again evicts 5.
+        assert self._ask(cache, text, max_steps=4) == (True, (0, 1))
+        assert self._ask(cache, text, max_steps=2) == (True, (1, 0))
+        assert self._ask(cache, text, max_steps=4) == (True, (0, 1))
+        assert self._ask(cache, text, max_steps=5) == (True, (1, 0))
+        assert len(self._verdicts(cache)) == VERDICT_MEMO_SIZE
+
+    def test_threads_share_one_memo(self, monkeypatch):
+        """Four threads ask eight verdicts of a four-entry memo, switching
+        often: hits race evictions, and every answer stays right."""
+        monkeypatch.setattr(assignment_fixing, "VERDICT_MEMO_SIZE", 4)
+        cache = PlanCache()
+        sigma = parse_dependencies(GUARDED_SIGMA)
+        query = parse_query("Q(A) :- p(A,B), ok(A, 1)")
+        tgd = sigma.tgds()[0]
+        (hom,) = iter_applicable_tgd_homomorphisms(query, tgd)
+        answers: list[bool] = []
+        errors: list[BaseException] = []
+
+        def ask(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(2500):
+                    budget = rng.randrange(2, 10)
+                    answers.append(
+                        is_assignment_fixing_for(query, tgd, hom, sigma, budget, plan_cache=cache)
+                    )
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert answers == [True] * 10000
+        assert len(self._verdicts(cache)) <= 4
 
 
 # --------------------------------------------------------------------------- #
@@ -386,3 +531,36 @@ class TestDifferentialCampaign:
         assert tallies["declined_keyed"] >= 20
         assert tallies["chased"] >= 50
         assert tallies["chases"] >= 500
+
+    def test_every_case_twice_on_one_plan_cache(self):
+        """The second chase of each case finds every tested verdict in the
+        compiled Σ's memo and still applies exactly the reference's steps."""
+        cache = PlanCache()
+        hits = 0
+        for seed in range(CAMPAIGN_CASES):
+            _, query, sigma = _campaign_case(seed)
+            for semantics in SOUND_SEMANTICS:
+                slow = _outcome(sound_chase_reference, query, sigma, semantics)
+                runs = [
+                    _outcome(
+                        lambda *args: sound_chase(*args, plan_cache=cache),
+                        query, sigma, semantics,
+                    )
+                    for _ in range(2)
+                ]
+                for outcome, result in runs:
+                    assert outcome == slow[0], (seed, semantics, outcome, slow[0])
+                    if result is not None:
+                        assert (result.query, result.steps) == (
+                            slow[1].query, slow[1].steps
+                        ), (seed, semantics)
+                first, second = (result for _, result in runs)
+                if first is None:
+                    continue
+                assert second.profile.assignment_fixing_tests == 0, (seed, semantics)
+                assert second.profile.assignment_fixing_cache_hits == (
+                    first.profile.assignment_fixing_tests
+                    + first.profile.assignment_fixing_cache_hits
+                ), (seed, semantics)
+                hits += second.profile.assignment_fixing_cache_hits
+        assert hits >= 100

@@ -182,6 +182,57 @@ class TestResumeVsCold:
             + profile.assignment_fixing_cache_hits
         ) >= 1
 
+    @pytest.mark.parametrize("semantics", (Semantics.BAG, Semantics.BAG_SET))
+    @pytest.mark.parametrize("added, static", [("r(X)", 1), ("q(X, 5)", 0)])
+    def test_replay_decides_the_gates_once_on_the_new_base(self, semantics, added, static):
+        """The recorded t step is key determined.  A delta atom holding a
+        constant under a premise predicate (q) fails gate 3 on the new base,
+        so the replay sends the record through Definition 4.3 instead of
+        the rule; the continuation has nothing to test."""
+        sigma = parse_dependencies(
+            "p(X,Y) -> t(X,Y,W)\nt(X,Y,Z) & t(X,Y,W) -> Z = W\nq(X,Y) & q(X,Z) -> Y = Z",
+            set_valued=["t"],
+        )
+        _, checkpoint = chase_with_checkpoint(parse_query("Q(X) :- p(X,Y)"), sigma, semantics)
+        outcome = resume_chase(checkpoint, _delta_atoms(added))
+        assert outcome.resumed, outcome.fallback_reason
+        assert (outcome.replayed_steps, outcome.new_steps) == (1, 0)
+        profile = outcome.result.profile
+        assert profile.assignment_fixing_static == static
+        assert profile.assignment_fixing_tests + profile.assignment_fixing_cache_hits == 1 - static
+
+    @pytest.mark.parametrize("semantics", (Semantics.BAG, Semantics.BAG_SET))
+    @pytest.mark.parametrize(
+        "query, sigma, kinds",
+        [
+            # The second record's premise r2(B, Z) is the first record's atom.
+            (
+                "Q(A) :- r1(A,B)",
+                "r1(X,Y) -> r2(Y,Z)\nr2(X,Y) -> r3(Y,Z)\n"
+                "r2(X,Y) & r2(X,Z) -> Y = Z\nr3(X,Y) & r3(X,Z) -> Y = Z",
+                ["tgd", "tgd"],
+            ),
+            # The tgd record's premise w(C) exists only after the egd record.
+            (
+                "Q(A) :- s(A,B), s(A,C), w(B)",
+                "s(X,Y) & s(X,Z) -> Y = Z\nw(X) -> v(X)",
+                ["egd", "tgd"],
+            ),
+        ],
+        ids=["tgd-after-tgd", "tgd-after-egd"],
+    )
+    def test_replay_checks_premises_against_the_grown_body(self, semantics, query, sigma, kinds):
+        dependencies = parse_dependencies(sigma, set_valued=["r2", "r3", "v"])
+        result, checkpoint = chase_with_checkpoint(parse_query(query), dependencies, semantics)
+        assert [step.kind for step in result.steps] == kinds
+        outcome = resume_chase(checkpoint, _delta_atoms("z(A)"))
+        assert outcome.resumed, outcome.fallback_reason
+        assert outcome.replayed_steps == len(kinds)
+        cold = sound_chase(outcome.checkpoint.base_query, dependencies, semantics)
+        assert strategies.equivalent_chased(
+            outcome.result.query, cold.query, dependencies, semantics
+        )
+
     def test_final_state_matches_q1_chase(self, ex41):
         _, checkpoint = chase_with_checkpoint(
             ex41.q4, ex41.dependencies, Semantics.SET
