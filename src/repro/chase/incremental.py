@@ -52,7 +52,6 @@ so a fallback never breaks the resume chain.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -86,13 +85,11 @@ __all__ = [
     "ChaseCheckpoint",
     "ChaseDelta",
     "ResumeOutcome",
-    "apply_delta_to_query",
-    "apply_delta_to_sigma",
+    "apply_delta",
     "chase_with_checkpoint",
     "has_applicable_step",
     "resume_chase",
     "sigma_extension_suffix",
-    "validate_delta",
 ]
 
 
@@ -154,73 +151,24 @@ def _dependency_key(dependency: Dependency) -> Hashable:
     raise ChaseError(f"unsupported dependency {dependency!r}")
 
 
-def _known_arities(
-    query: ConjunctiveQuery, sigma: DependencySet
-) -> dict[str, int]:
-    arities: dict[str, int] = {}
-    for atom in query.body:
-        arities.setdefault(atom.predicate, atom.arity)
-    for dependency in sigma:
-        atoms: Iterable[Atom] = dependency.premise
-        if isinstance(dependency, TGD):
-            atoms = list(dependency.premise) + list(dependency.conclusion)
-        for atom in atoms:
-            arities.setdefault(atom.predicate, atom.arity)
-    return arities
-
-
-def validate_delta(
+def apply_delta(
     query: ConjunctiveQuery, sigma: DependencySet, delta: ChaseDelta
-) -> None:
-    """Reject structurally invalid deltas before any state is touched.
+) -> tuple[ConjunctiveQuery, DependencySet]:
+    """The base query and Σ after *delta*, checked before either is built.
 
-    Raises :class:`DeltaRejectedError` with a stable ``reason`` slug:
-    ``empty-delta``, ``unknown-atom`` (removing an atom the base query does
-    not contain, counting multiplicity), ``unknown-dependency`` (removing a
-    dependency Σ does not contain), or ``arity-conflict`` (an added atom or
-    dependency disagrees with a predicate's known arity).
+    Removals go first, additions are appended and the set-valued markers
+    grow.  Σ itself is returned when the delta leaves it alone.
+
+    Raises :class:`DeltaRejectedError` with a stable ``reason`` slug, in
+    this order: ``empty-delta``, ``unknown-atom`` (removing an atom the base
+    query does not contain, counting multiplicity), ``unknown-dependency``
+    (removing a dependency Σ does not contain), ``arity-conflict`` (an added
+    atom or dependency disagrees with a predicate's arity in the base query
+    or Σ), or ``unsafe-removal`` (the new query is malformed, say a head
+    variable no body atom binds).
     """
     if delta.is_empty:
         raise DeltaRejectedError("the delta is empty", reason="empty-delta")
-    if delta.removed_atoms:
-        available = Counter(query.body)
-        for atom in delta.removed_atoms:
-            if available[atom] <= 0:
-                raise DeltaRejectedError(
-                    f"cannot remove {atom}: not in the base query body",
-                    reason="unknown-atom",
-                )
-            available[atom] -= 1
-    if delta.removed_dependencies:
-        available_deps = Counter(_dependency_key(d) for d in sigma)
-        for dependency in delta.removed_dependencies:
-            key = _dependency_key(dependency)
-            if available_deps[key] <= 0:
-                raise DeltaRejectedError(
-                    f"cannot remove dependency {dependency}: not in Σ",
-                    reason="unknown-dependency",
-                )
-            available_deps[key] -= 1
-    arities = _known_arities(query, sigma)
-    new_atoms: list[Atom] = list(delta.added_atoms)
-    for dependency in delta.added_dependencies:
-        new_atoms.extend(dependency.premise)
-        if isinstance(dependency, TGD):
-            new_atoms.extend(dependency.conclusion)
-    for atom in new_atoms:
-        known = arities.setdefault(atom.predicate, atom.arity)
-        if known != atom.arity:
-            raise DeltaRejectedError(
-                f"atom {atom} has arity {atom.arity} but predicate "
-                f"{atom.predicate!r} is used with arity {known}",
-                reason="arity-conflict",
-            )
-
-
-def apply_delta_to_query(
-    query: ConjunctiveQuery, delta: ChaseDelta
-) -> ConjunctiveQuery:
-    """The base query after the delta: removals first, additions appended."""
     body = list(query.body)
     for atom in delta.removed_atoms:
         try:
@@ -230,9 +178,50 @@ def apply_delta_to_query(
                 f"cannot remove {atom}: not in the base query body",
                 reason="unknown-atom",
             ) from None
+    new_sigma = sigma
+    if delta.removed_dependencies or delta.added_dependencies or delta.set_valued:
+        remaining = list(sigma.dependencies)
+        for dependency in delta.removed_dependencies:
+            key = _dependency_key(dependency)
+            for position, existing in enumerate(remaining):
+                if _dependency_key(existing) == key:
+                    del remaining[position]
+                    break
+            else:
+                raise DeltaRejectedError(
+                    f"cannot remove dependency {dependency}: not in Σ",
+                    reason="unknown-dependency",
+                )
+        new_sigma = DependencySet(
+            remaining + list(delta.added_dependencies),
+            sigma.set_valued_predicates | delta.set_valued,
+        )
+    new_atoms: list[Atom] = list(delta.added_atoms)
+    for dependency in delta.added_dependencies:
+        new_atoms.extend(dependency.premise)
+        if isinstance(dependency, TGD):
+            new_atoms.extend(dependency.conclusion)
+    if new_atoms:
+        arities: dict[str, int] = {}
+        for atom in query.body:
+            arities.setdefault(atom.predicate, atom.arity)
+        for dependency in sigma:
+            for atom in dependency.premise:
+                arities.setdefault(atom.predicate, atom.arity)
+            if isinstance(dependency, TGD):
+                for atom in dependency.conclusion:
+                    arities.setdefault(atom.predicate, atom.arity)
+        for atom in new_atoms:
+            known = arities.setdefault(atom.predicate, atom.arity)
+            if known != atom.arity:
+                raise DeltaRejectedError(
+                    f"atom {atom} has arity {atom.arity} but predicate "
+                    f"{atom.predicate!r} is used with arity {known}",
+                    reason="arity-conflict",
+                )
     body.extend(delta.added_atoms)
     try:
-        return query.with_body(body)
+        return query.with_body(body), new_sigma
     except QueryError as exc:
         raise DeltaRejectedError(
             f"delta leaves the query malformed: {exc}", reason="unsafe-removal"
@@ -266,26 +255,6 @@ def sigma_extension_suffix(
     )
 
 
-def apply_delta_to_sigma(sigma: DependencySet, delta: ChaseDelta) -> DependencySet:
-    """Σ after the delta: removals first, additions appended, markers grown."""
-    remaining = list(sigma.dependencies)
-    for dependency in delta.removed_dependencies:
-        key = _dependency_key(dependency)
-        for position, existing in enumerate(remaining):
-            if _dependency_key(existing) == key:
-                del remaining[position]
-                break
-        else:
-            raise DeltaRejectedError(
-                f"cannot remove dependency {dependency}: not in Σ",
-                reason="unknown-dependency",
-            )
-    remaining.extend(delta.added_dependencies)
-    return DependencySet(
-        remaining, sigma.set_valued_predicates | delta.set_valued
-    )
-
-
 # ---------------------------------------------------------------------- #
 # Checkpoints
 # ---------------------------------------------------------------------- #
@@ -295,9 +264,10 @@ class ChaseCheckpoint:
 
     ``base_query`` is the *un-chased* input; ``result`` its terminal
     :class:`ChaseResult` (fixpoint atoms plus fired-step provenance);
-    ``sigma`` the dependency set the run was chased under (frozen copy);
-    ``used_names`` every variable name the run ever produced — the labeled
-    null state, so continuation steps never reuse an eliminated name; and
+    ``sigma`` the dependency set the run was chased under (the caller's own
+    set: sets are immutable, so it is not copied); ``used_names`` every
+    variable name the run ever produced — the labeled null state, so
+    continuation steps never reuse an eliminated name; and
     ``egd_clean`` / ``tgd_clean`` the terminal trigger frontier over the
     *regularized* Σ (growth-stable "cannot fire" verdicts, see
     :mod:`repro.chase.delta`).
@@ -418,14 +388,11 @@ def chase_with_checkpoint(
     """
     semantics = Semantics.from_name(semantics)
     sigma = DependencySet.coerce(dependencies)
-    # Freeze Σ: DependencySet is mutable and the checkpoint must not drift
-    # under a caller's later add().
-    frozen = DependencySet(list(sigma.dependencies), sigma.set_valued_predicates)
     capture = ChaseCapture()
     result = sound_chase(
-        query, frozen, semantics, max_steps, plan_cache=plan_cache, capture=capture
+        query, sigma, semantics, max_steps, plan_cache=plan_cache, capture=capture
     )
-    return result, ChaseCheckpoint.of(query, result, frozen, max_steps, capture)
+    return result, ChaseCheckpoint.of(query, result, sigma, max_steps, capture)
 
 
 def has_applicable_step(
@@ -661,9 +628,7 @@ def resume_chase(
     checkpoint's); the budget counts continuation rounds only — replayed
     steps are free.
     """
-    validate_delta(checkpoint.base_query, checkpoint.sigma, delta)
-    new_base = apply_delta_to_query(checkpoint.base_query, delta)
-    new_sigma = apply_delta_to_sigma(checkpoint.sigma, delta)
+    new_base, new_sigma = apply_delta(checkpoint.base_query, checkpoint.sigma, delta)
     budget = checkpoint.max_steps if max_steps is None else max_steps
     cache = plan_cache if plan_cache is not None else default_plan_cache()
 

@@ -455,10 +455,11 @@ class SigmaPlans:
 class PlanCache:
     """A bounded LRU of :class:`SigmaPlans` per dependency set.
 
-    Keys are Σ's memoized :attr:`~repro.dependencies.base.DependencySet.
-    plan_key` — its fingerprint plus the dependency display names (two Σs
-    equal up to names must not share plans — step records print the names),
-    hashed once per Σ — so a warm lookup does not re-walk Σ's atoms.
+    Keys are Σ's :attr:`~repro.dependencies.base.DependencySet.plan_key` —
+    its fingerprint plus the dependency display names (two Σs equal up to
+    names must not share plans — step records print the names) — which an
+    immutable set computes, with its hash, once; so a warm lookup is one
+    dict probe and never walks Σ.
     ``hits`` / ``misses`` / ``evictions`` mirror the chase cache's counters;
     every chase run folds its deltas into its
     :class:`~repro.chase.profile.ChaseProfile` as ``plans_reused`` /

@@ -15,7 +15,8 @@ egds, Appendix C, and which drives Theorem 4.1's soundness conditions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from ..core.atoms import Atom, EqualityAtom, atoms_variables
@@ -223,7 +224,7 @@ def normalise_embedded_dependency(
     return result
 
 
-class _HashedKey:
+class HashedKey:
     """A hashable value that computes its hash once.
 
     Pickling recomputes the hash: string hashes differ between processes.
@@ -241,15 +242,15 @@ class _HashedKey:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if not isinstance(other, _HashedKey):
+        if not isinstance(other, HashedKey):
             return NotImplemented
         return self._hash == other._hash and self.value == other.value
 
-    def __reduce__(self) -> tuple[type["_HashedKey"], tuple[Hashable]]:
-        return (_HashedKey, (self.value,))
+    def __reduce__(self) -> tuple[type["HashedKey"], tuple[Hashable]]:
+        return (HashedKey, (self.value,))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DependencySet:
     """A finite set Σ of embedded dependencies plus set-valuedness information.
 
@@ -259,30 +260,28 @@ class DependencySet:
     as names keeps the queries over the original (un-augmented) schema while
     the full tuple-ID encoding is available from
     :mod:`repro.dependencies.tuple_ids`.
+
+    A set is an immutable value, like the dependencies it holds:
+    ``dependencies`` is a tuple and ``set_valued_predicates`` a frozenset,
+    and neither can be reassigned.  A different Σ is a new set, built with
+    the constructor, :meth:`with_set_valued`, :meth:`restricted_to` or
+    :meth:`without`.  So :attr:`fingerprint` and :attr:`plan_key` are
+    computed at most once per set, and whatever holds a set (a Session, a
+    chase checkpoint) holds the caller's object, not a copy.
     """
 
-    dependencies: list[Dependency] = field(default_factory=list)
-    set_valued_predicates: frozenset[str] = frozenset()
+    dependencies: tuple[Dependency, ...]
+    set_valued_predicates: frozenset[str]
 
     def __init__(
         self,
         dependencies: Iterable[Dependency] = (),
         set_valued_predicates: Iterable[str] = (),
     ):
-        self.dependencies = list(dependencies)
-        self.set_valued_predicates = frozenset(set_valued_predicates)
-        # Memoized fingerprint, stored with the exact inputs it was computed
-        # over — the tuple of dependencies and the set-valued markers — so
-        # any mutation of the public attributes (list append/remove/replace,
-        # with or without add(), or reassigning set_valued_predicates) is
-        # detected and triggers a recompute.
-        self._fingerprint: (
-            tuple[tuple[tuple[Dependency, ...], frozenset[str]], Hashable] | None
-        ) = None
-        # Memoized plan-cache key, under the same guard as the fingerprint.
-        self._plan_key: (
-            tuple[tuple[tuple[Dependency, ...], frozenset[str]], _HashedKey] | None
-        ) = None
+        object.__setattr__(self, "dependencies", tuple(dependencies))
+        object.__setattr__(
+            self, "set_valued_predicates", frozenset(set_valued_predicates)
+        )
 
     @classmethod
     def coerce(
@@ -297,54 +296,35 @@ class DependencySet:
             return dependencies
         return cls(dependencies)
 
-    @property
-    def fingerprint(self) -> Hashable:
+    @cached_property
+    def fingerprint(self) -> HashedKey:
         """A hashable, name-insensitive fingerprint of the set, computed once.
 
         Dependency order is preserved (the deterministic chase strategy tries
         dependencies in order, so reordering Σ may legitimately produce a
         different — equivalent — terminal result); display names are dropped
-        (they never influence chasing).  The value is memoized on the
-        instance, guarded by the exact inputs it was computed over (the
-        dependency sequence and the set-valued markers): any mutation of the
-        public attributes — through :meth:`add` or directly — is observed on
-        the next access and recomputes.  A warm access therefore costs one
-        tuple build and an elementwise identity comparison, not the full
-        fingerprint walk.
+        (they never influence chasing).  The key carries its hash, so a
+        chase key built over it never re-walks Σ; its ``value`` is what the
+        chase store encodes.
         """
-        guard = (tuple(self.dependencies), self.set_valued_predicates)
-        cached = self._fingerprint
-        if cached is not None and cached[0] == guard:
-            return cached[1]
         parts: list[Hashable] = []
-        for dependency in guard[0]:
+        for dependency in self.dependencies:
             if isinstance(dependency, TGD):
                 parts.append(("tgd", dependency.premise, dependency.conclusion))
             elif isinstance(dependency, EGD):
                 parts.append(("egd", dependency.premise, dependency.equalities))
             else:  # pragma: no cover - future dependency kinds
                 parts.append(("dep", repr(dependency)))
-        value: Hashable = (tuple(parts), guard[1])
-        self._fingerprint = (guard, value)
-        return value
+        return HashedKey((tuple(parts), self.set_valued_predicates))
 
-    @property
-    def plan_key(self) -> Hashable:
+    @cached_property
+    def plan_key(self) -> HashedKey:
         """The fingerprint plus the display names, as one key hashed once.
 
         :class:`~repro.chase.plans.PlanCache` keys its compiled plans on
-        this (names split entries because step records print them).  A
-        plain tuple would re-hash Σ's nested atoms on every lookup; the
-        memoized key carries its hash, under the same mutation guard as
-        :attr:`fingerprint`.
+        this (names split entries because step records print them).
         """
-        guard = (tuple(self.dependencies), self.set_valued_predicates)
-        cached = self._plan_key
-        if cached is not None and cached[0] == guard:
-            return cached[1]
-        key = _HashedKey((self.fingerprint, tuple(d.name for d in guard[0])))
-        self._plan_key = (guard, key)
-        return key
+        return HashedKey((self.fingerprint, tuple(d.name for d in self.dependencies)))
 
     def __iter__(self) -> Iterator[Dependency]:
         return iter(self.dependencies)
@@ -373,12 +353,6 @@ class DependencySet:
     def is_set_valued(self, predicate: str) -> bool:
         """Is *predicate* required to be set valued in every instance?"""
         return predicate in self.set_valued_predicates
-
-    def add(self, dependency: Dependency) -> None:
-        """Append a dependency (invalidates the memoized fingerprint)."""
-        self.dependencies.append(dependency)
-        self._fingerprint = None
-        self._plan_key = None
 
     def without(self, dependency: Dependency) -> "DependencySet":
         """A copy of the set with one dependency removed."""

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 
 from ..chase.incremental import (
     ChaseDelta,
+    apply_delta,
     chase_with_checkpoint,
     has_applicable_step,
     resume_chase,
@@ -513,15 +514,11 @@ def _check_incremental_resume(case: FuzzCase, report: CaseReport) -> None:
             return
         except ChaseFailedError:
             outcome = None
-        new_sigma = checkpoint.sigma
         if outcome is not None:
             new_sigma = outcome.checkpoint.sigma
             new_query = outcome.checkpoint.base_query
         else:
-            from ..chase.incremental import apply_delta_to_query, apply_delta_to_sigma
-
-            new_query = apply_delta_to_query(checkpoint.base_query, delta)
-            new_sigma = apply_delta_to_sigma(checkpoint.sigma, delta)
+            new_query, new_sigma = apply_delta(checkpoint.base_query, checkpoint.sigma, delta)
         cold = _chase_outcome(
             sound_chase, new_query, new_sigma, semantics, case.max_steps
         )

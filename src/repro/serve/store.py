@@ -37,9 +37,11 @@ Design notes:
 * **Σ is encoded once per Σ value.**  The canonical JSON of a key is
   ``'["T",[' + ",".join(<JSON of each part>) + "]]"`` — byte for byte what
   encoding the whole part tuple gives — so the Σ fingerprint's JSON is
-  memoized by value and joined in.  A daemon that flips Σ between two
-  values re-encodes neither; the digest bytes (and every existing store
-  file) are unchanged.
+  memoized by value and joined in.  The fingerprint carries its hash, so a
+  memo lookup never re-hashes Σ, and it is encoded as its value, so the
+  digest bytes (and every existing store file) are those of the plain
+  fingerprint.  A daemon that flips Σ between two values re-encodes
+  neither.
 * **Records are held compactly and restored once.**  The store keeps each
   record as a ``(query text, semantics name, terminated, steps)`` tuple, not
   as its decoded JSON dict, and memoizes the restored result on that tuple:
@@ -66,6 +68,7 @@ from ..core.atoms import Atom, EqualityAtom
 from ..core.terms import Constant, Variable
 from ..datalog.parser import parse_query
 from ..datalog.render import render_query
+from ..dependencies.base import HashedKey
 from ..exceptions import ReproError
 from ..semantics import Semantics
 from ..session import strategies
@@ -116,6 +119,8 @@ def _encode(node: Any) -> Any:
         encoded = [_encode(item) for item in node]
         encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
         return ["S", encoded]
+    if isinstance(node, HashedKey):  # Σ's fingerprint: the value alone keeps digests' bytes
+        return _encode(node.value)
     raise StoreError(
         f"cannot build a stable store digest over {type(node).__name__!r}; "
         "extend repro.serve.store._encode for new key part types"

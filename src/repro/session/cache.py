@@ -13,10 +13,9 @@ Keys are *canonicalized*: the query contributes its
 variable renaming, so alpha-variant queries share an entry), Σ contributes
 its dependencies in order (chase strategy is order-sensitive) minus their
 display names, plus the set-valued predicate markers.  The structural key
-is memoized on the query object and the Σ fingerprint on the
-:class:`~repro.dependencies.base.DependencySet`; a :class:`ChaseKey` takes
-its hash once, over the fingerprint's hash rather than the fingerprint
-itself, so building a key costs the same whatever the size of Σ.  Cached
+is memoized on the query object, and the Σ fingerprint, with its hash, on
+the immutable :class:`~repro.dependencies.base.DependencySet`, so building
+a key costs the same whatever the size of Σ.  Cached
 :class:`~repro.chase.set_chase.ChaseResult` objects are immutable in
 practice and shared by reference; the chase result of an alpha-variant hit
 differs from a fresh chase only by a variable renaming, which every
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from ..core.query import ConjunctiveQuery
-from ..dependencies.base import DependencySet
+from ..dependencies.base import HashedKey
 
 
 class _Missing:
@@ -50,27 +49,14 @@ class _Missing:
 MISSING = _Missing()
 
 
-def sigma_part(dependencies: DependencySet) -> tuple[Hashable, int]:
-    """Σ's part of a chase key: its fingerprint and the fingerprint's hash.
-
-    The fingerprint is :attr:`~repro.dependencies.base.DependencySet.
-    fingerprint`, name-insensitive and memoized per set object.  Callers
-    that build many keys under one Σ compute this once (the Session keeps
-    it until Σ changes).
-    """
-    fingerprint = dependencies.fingerprint
-    return fingerprint, hash(fingerprint)
-
-
 class ChaseKey:
     """One chase-cache key, with its hash computed exactly once.
 
     ``parts`` is ``(structural key, Σ fingerprint, semantics, max_steps)``:
     equality compares it (identical parts compare by pointer, so a warm hit
-    is cheap) and the store digests it.  The hash is taken over the
-    fingerprint's precomputed hash instead of the fingerprint, whose hash
-    would walk every dependency of Σ on each build.  Equality with anything
-    but a ``ChaseKey`` is ``NotImplemented``, so the key is safe to mix with
+    is cheap) and the store digests it.  The fingerprint carries its own
+    hash, so hashing the parts never walks Σ.  Equality with anything but a
+    ``ChaseKey`` is ``NotImplemented``, so the key is safe to mix with
     arbitrary keys in one cache.
     """
 
@@ -79,14 +65,12 @@ class ChaseKey:
     def __init__(
         self,
         query: ConjunctiveQuery,
-        sigma: tuple[Hashable, int],
+        fingerprint: HashedKey,
         semantics: Hashable,
         max_steps: int,
     ):
-        structural = query.structural_key()
-        fingerprint, sigma_hash = sigma
-        self.parts = (structural, fingerprint, semantics, max_steps)
-        self._hash = hash((structural, sigma_hash, semantics, max_steps))
+        self.parts = (query.structural_key(), fingerprint, semantics, max_steps)
+        self._hash = hash(self.parts)
 
     def __hash__(self) -> int:
         return self._hash

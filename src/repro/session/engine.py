@@ -27,17 +27,15 @@ Typical use::
 from __future__ import annotations
 
 import time
-from typing import Any, Hashable, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from ..chase.incremental import (
     ChaseDelta,
     ResumeOutcome,
-    apply_delta_to_query,
-    apply_delta_to_sigma,
+    apply_delta,
     chase_with_checkpoint,
     resume_chase,
     sigma_extension_suffix,
-    validate_delta,
 )
 from ..chase.plans import PlanCache, default_plan_cache
 from ..chase.profile import ChaseProfile
@@ -50,7 +48,7 @@ from ..equivalence.decision import EquivalenceVerdict
 from ..semantics import Semantics
 from ..exceptions import DeltaRejectedError, DependencyError, SchemaError, SemanticsError
 from . import strategies
-from .cache import MISSING, CacheStats, ChaseCache, ChaseKey, sigma_part
+from .cache import MISSING, CacheStats, ChaseCache, ChaseKey
 
 
 #: Bound on the checkpoints a Session keeps for :meth:`Session.apply_delta`.
@@ -89,35 +87,16 @@ class ChaseResultStore(Protocol):
     def close(self) -> None: ...
 
 
-class _SessionDependencySet(DependencySet):
-    """A Session-owned Σ that refuses in-place mutation.
-
-    Cache keys memoize Σ's fingerprint, so mutating the session's dependency
-    set in place would silently serve stale chases; Σ changes must go
-    through :meth:`Session.set_dependencies`, which invalidates the cache.
-    The dependency sequence is stored as a tuple so even direct mutation of
-    the ``dependencies`` attribute's contents is impossible.
-    """
-
-    def __init__(self, dependencies=(), set_valued_predicates=()):
-        super().__init__(dependencies, set_valued_predicates)
-        self.dependencies = tuple(self.dependencies)
-
-    def add(self, dependency) -> None:
-        raise DependencyError(
-            "this Session's dependency set is immutable; build a new "
-            "DependencySet and call session.set_dependencies(...) so the "
-            "chase cache is invalidated"
-        )
-
-
 class Session:
     """A long-lived engine instance owning caches and pipelines.
 
     ``dependencies`` may be a :class:`DependencySet` or a plain sequence of
     dependencies; ``schema`` is optional, and when it marks relations as set
     valued those markers are folded into Σ (they drive the Theorem 4.1 / 4.2
-    soundness conditions under bag semantics).
+    soundness conditions under bag semantics).  A given set is Σ itself
+    unless the schema adds a marker: sets are immutable, so the session
+    keeps no copy.  To change Σ, build a new set and call
+    :meth:`set_dependencies`, which invalidates the chase cache.
 
     ``default_semantics`` (a member, a name or an alias) is the semantics of
     every call that names none; it is resolved here, so an unknown name
@@ -177,8 +156,6 @@ class Session:
             self.precheck_report, self._certificate = self._run_precheck(
                 self._dependencies
             )
-        # Σ's part of every chase key, computed lazily by _chase_key.
-        self._sigma_key: tuple[Hashable, int] | None = None
         # Aggregate of every *cold* chase's profile (cache hits add nothing:
         # the work they saved is exactly what the aggregate measures).
         self._profile = ChaseProfile(runs=0)
@@ -209,19 +186,14 @@ class Session:
     def _coerce_dependencies(
         self, dependencies: DependencySet | Sequence[Dependency]
     ) -> DependencySet:
-        if not isinstance(dependencies, DependencySet):
-            dependencies = DependencySet(dependencies)
+        dependencies = DependencySet.coerce(dependencies)
         if self.schema is not None:
             schema_set_valued = getattr(self.schema, "set_valued_relations", None)
             if callable(schema_set_valued):
                 marked = schema_set_valued()
-                if marked - set(dependencies.set_valued_predicates):
+                if marked - dependencies.set_valued_predicates:
                     dependencies = dependencies.with_set_valued(marked)
-        # Own an immutable snapshot: later mutation of the caller's set must
-        # not change Σ behind the memoized fingerprint and cache.
-        return _SessionDependencySet(
-            list(dependencies.dependencies), dependencies.set_valued_predicates
-        )
+        return dependencies
 
     @property
     def dependencies(self) -> DependencySet:
@@ -247,7 +219,6 @@ class Session:
         self._dependencies = coerced
         self.precheck_report = report
         self._certificate = certificate
-        self._sigma_key = None
         self.cache.invalidate()
 
     def _run_precheck(self, dependencies: DependencySet):
@@ -282,14 +253,12 @@ class Session:
     def _chase_key(
         self, query: ConjunctiveQuery, semantics: Semantics, max_steps: int
     ) -> ChaseKey:
-        # The query's part is its memoized structural key; Σ's part only
-        # changes through set_dependencies (which resets it), so its
-        # fingerprint and hash are computed once per Σ.
+        # Both parts are memoized: the query's structural key on the query,
+        # Σ's fingerprint on the (immutable) dependency set.
         started = time.perf_counter()
-        sigma = self._sigma_key
-        if sigma is None:
-            sigma = self._sigma_key = sigma_part(self._dependencies)
-        key = ChaseKey(query, sigma, _KEY_PART[semantics], max_steps)
+        key = ChaseKey(
+            query, self._dependencies.fingerprint, _KEY_PART[semantics], max_steps
+        )
         profile = self._profile
         profile.cache_keys_built += 1
         profile.key_build_time += time.perf_counter() - started
@@ -410,19 +379,13 @@ class Session:
         invalid deltas, with the session state untouched.
         """
         semantics = self._semantics(semantics)
+        previous_sigma = self._dependencies
         try:
-            validate_delta(query, self._dependencies, delta)
+            new_query, new_sigma = apply_delta(query, previous_sigma, delta)
         except DeltaRejectedError:
             self._incremental["deltas_rejected"] += 1
             raise
-        previous_sigma = self._dependencies
-        new_sigma = apply_delta_to_sigma(previous_sigma, delta)
-        new_query = apply_delta_to_query(query, delta)
-        if (
-            delta.added_dependencies
-            or delta.removed_dependencies
-            or delta.set_valued
-        ):
+        if new_sigma is not previous_sigma:
             # May raise PrecheckFailedError under a strict precheck; nothing
             # has been chased or cached yet, so the session stays consistent.
             self.set_dependencies(new_sigma)

@@ -16,10 +16,10 @@ import pytest
 from repro.chase import sound_chase
 from repro.chase.incremental import (
     ChaseDelta,
+    apply_delta,
     chase_with_checkpoint,
     has_applicable_step,
     resume_chase,
-    validate_delta,
 )
 from repro.core import are_isomorphic, is_set_equivalent
 from repro.core.bag_equivalence import is_bag_set_equivalent
@@ -57,19 +57,19 @@ class TestChaseDelta:
 
     def test_validate_rejects_empty(self, ex41):
         with pytest.raises(DeltaRejectedError) as excinfo:
-            validate_delta(ex41.q4, ex41.dependencies, ChaseDelta())
+            apply_delta(ex41.q4, ex41.dependencies, ChaseDelta())
         assert excinfo.value.reason == "empty-delta"
 
     def test_validate_rejects_unknown_removals(self, ex41):
         with pytest.raises(DeltaRejectedError) as excinfo:
-            validate_delta(
+            apply_delta(
                 ex41.q4,
                 ex41.dependencies,
                 ChaseDelta(removed_atoms=_atoms("zzz(X)")),
             )
         assert excinfo.value.reason == "unknown-atom"
         with pytest.raises(DeltaRejectedError) as excinfo:
-            validate_delta(
+            apply_delta(
                 ex41.q4,
                 ex41.dependencies,
                 ChaseDelta(
@@ -82,8 +82,19 @@ class TestChaseDelta:
 
     def test_validate_rejects_arity_conflicts(self, ex41):
         with pytest.raises(DeltaRejectedError) as excinfo:
-            validate_delta(ex41.q4, ex41.dependencies, _delta_atoms("p(X)"))
+            apply_delta(ex41.q4, ex41.dependencies, _delta_atoms("p(X)"))
         assert excinfo.value.reason == "arity-conflict"
+
+    def test_apply_keeps_an_untouched_sigma(self, ex41):
+        """An atoms-only delta hands back Σ itself, memoized keys and all."""
+        sigma = ex41.dependencies
+        query, same = apply_delta(ex41.q4, sigma, _delta_atoms("t(X, Y, W)"))
+        assert same is sigma
+        assert query.body == ex41.q4.body + _atoms("t(X, Y, W)")
+        extra = tuple(parse_dependency("u(X, Y) -> r(X)", "late"))
+        _, grown = apply_delta(ex41.q4, sigma, ChaseDelta.dependencies(*extra))
+        assert grown.dependencies == sigma.dependencies + extra
+        assert grown.set_valued_predicates == sigma.set_valued_predicates
 
     def test_unsafe_removal_rejected(self, ex41):
         _, checkpoint = chase_with_checkpoint(
@@ -424,6 +435,16 @@ class TestSessionApplyDelta:
             session.apply_delta(ex41.q4, ChaseDelta(), "set")
         assert session.stats()["incremental"]["deltas_rejected"] == 1
 
+    def test_unsafe_removal_counted_and_reraised(self, ex41):
+        """The last reason checked counts like the first: the new query is
+        built inside the check, so a malformed one is a rejected delta."""
+        session = Session(dependencies=ex41.dependencies, chase_resumable=True)
+        query = parse_query("Q(X) :- p(X,Y), r(X)")
+        with pytest.raises(DeltaRejectedError) as excinfo:
+            session.apply_delta(query, ChaseDelta(removed_atoms=query.body), "set")
+        assert excinfo.value.reason == "unsafe-removal"
+        assert session.stats()["incremental"]["deltas_rejected"] == 1
+
     def test_strict_precheck_keeps_session_intact(self, ex41):
         session = Session(
             dependencies=ex41.dependencies,
@@ -559,6 +580,15 @@ class TestServeApplyDelta:
             )
         assert excinfo.value.code == "delta-rejected"
         assert excinfo.value.error["reason"] == "arity-conflict"
+
+    def test_unsafe_removal_counted_over_the_wire(self, resumable_client):
+        with pytest.raises(ServerError) as excinfo:
+            resumable_client.apply_delta(
+                "Q(X) :- p(X,Y), r(X)", remove_atoms="p(X,Y), r(X)", semantics="set"
+            )
+        assert excinfo.value.code == "delta-rejected"
+        assert excinfo.value.error["reason"] == "unsafe-removal"
+        assert resumable_client.stats()["incremental"]["deltas_rejected"] == 1
 
     def test_stats_carry_incremental_section(self, resumable_client):
         stats = resumable_client.stats()

@@ -252,28 +252,30 @@ class TestReviewRegressions:
         (atom,) = instance.ground_atoms()
         assert atom.terms == (Constant(1), Constant(2))  # no double wrapping
 
-    def test_fingerprint_detects_direct_list_mutation(self):
+    def test_dependency_set_refuses_mutation(self):
+        """Σ is a value: its fingerprint is memoized, so nothing may change
+        the set it was computed over."""
+        from dataclasses import FrozenInstanceError
+
         from repro.dependencies.base import DependencySet
 
         source = example_4_1().dependencies
-        mutable = DependencySet(list(source.dependencies))
-        first = mutable.fingerprint
-        assert mutable.fingerprint is first  # warm access returns the memo
-        mutable.dependencies.append(mutable.dependencies[0])  # bypasses add()
-        assert mutable.fingerprint != first
-        # Same-length, in-place element replacement must be observed too.
-        shuffled = DependencySet(list(source.dependencies))
-        before = shuffled.fingerprint
-        shuffled.dependencies[0], shuffled.dependencies[-1] = (
-            shuffled.dependencies[-1],
-            shuffled.dependencies[0],
-        )
-        assert shuffled.fingerprint != before  # order matters for the chase
-        # Reassigning the set-valued markers must be observed too.
-        remarked = DependencySet(list(source.dependencies))
-        unmarked = remarked.fingerprint
-        remarked.set_valued_predicates = frozenset({"brand_new_marker"})
-        assert remarked.fingerprint != unmarked
+        sigma = DependencySet(list(source.dependencies), source.set_valued_predicates)
+        first = sigma.fingerprint
+        assert sigma.fingerprint is first  # warm access returns the memo
+        with pytest.raises(FrozenInstanceError):
+            sigma.dependencies = list(source.dependencies)
+        with pytest.raises(FrozenInstanceError):
+            sigma.set_valued_predicates = frozenset({"brand_new_marker"})
+        with pytest.raises(AttributeError):
+            sigma.dependencies.append(sigma.dependencies[0])
+        with pytest.raises(TypeError):
+            sigma.dependencies[0] = sigma.dependencies[-1]
+        assert not hasattr(sigma, "add")
+        assert sigma == source and sigma.fingerprint is first
+        # Order matters for the chase: a reordered set is another value.
+        reordered = DependencySet(reversed(source.dependencies), source.set_valued_predicates)
+        assert reordered.fingerprint != first
 
 
 class TestDifferentialPin:

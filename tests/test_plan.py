@@ -169,34 +169,48 @@ class TestSigmaPlans:
         assert cache.plans_for(sigma) is first
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_cache_invalidated_by_sigma_mutation(self):
-        """Σ change → new fingerprint → fresh plans, never stale ones."""
+    def test_new_sigma_gets_fresh_plans(self):
+        """A new Σ → new fingerprint → fresh plans, never stale ones."""
         cache = PlanCache()
         sigma = self._sigma()
         first = cache.plans_for(sigma)
-        sigma.add(TGD([Atom("p", [X, Y])], [Atom("r", [X])], name="t2"))
-        second = cache.plans_for(sigma)
+        grown = DependencySet(
+            sigma.dependencies + (TGD([Atom("p", [X, Y])], [Atom("r", [X])], name="t2"),),
+            sigma.set_valued_predicates,
+        )
+        second = cache.plans_for(grown)
         assert second is not first
         assert len(second.tgds) == len(first.tgds) + 1
         assert cache.misses == 2
 
-    def test_plan_key_is_memoized_under_the_fingerprint_guard(self):
-        """Warm lookups reuse one key object; any mutation of the public
-        attributes, through add() or directly, yields a new key."""
+    def test_keys_are_memoized_values(self):
+        """Each set computes its keys once; equal sets have equal keys with
+        equal hashes, and other content gives other keys."""
         import pickle
 
         sigma = self._sigma()
         key = sigma.plan_key
-        assert sigma.plan_key is key
+        fingerprint = sigma.fingerprint
+        assert sigma.plan_key is key and sigma.fingerprint is fingerprint
         copy = DependencySet(list(sigma.dependencies), sigma.set_valued_predicates)
         assert copy.plan_key == key and hash(copy.plan_key) == hash(key)
-        sigma.dependencies.append(TGD([Atom("p", [X, Y])], [Atom("r", [X])], name="t2"))
-        grown = sigma.plan_key
-        assert grown != key
-        sigma.set_valued_predicates = frozenset()
-        assert sigma.plan_key != grown
+        assert copy.fingerprint == fingerprint
+        assert hash(copy.fingerprint) == hash(fingerprint)
+        assert copy == sigma and hash(copy) == hash(sigma)
+        grown = DependencySet(
+            sigma.dependencies + (TGD([Atom("p", [X, Y])], [Atom("r", [X])], name="t2"),),
+            sigma.set_valued_predicates,
+        )
+        assert grown.plan_key != key
+        assert DependencySet(sigma.dependencies).plan_key != key
         # A pickled key rehashes in the receiving process.
         assert pickle.loads(pickle.dumps(key)) == key
+        # A pickled set (WorkerSpec ships Σ to worker processes) keeps them.
+        for shipped in (sigma, self._sigma()):
+            clone = pickle.loads(pickle.dumps(shipped))
+            assert clone == sigma
+            assert clone.plan_key == key and hash(clone.plan_key) == hash(key)
+            assert clone.fingerprint == fingerprint
 
     def test_cache_distinguishes_dependency_names(self):
         """Step records print dependency names, so names must split entries."""

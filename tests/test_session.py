@@ -217,22 +217,37 @@ class TestChaseCache:
         assert after.runs == 2
         assert after.wall_time >= profile.wall_time
 
-    def test_in_place_sigma_mutation_is_refused(self, ex41, session41):
-        # Mutating Σ behind the memoized fingerprint would serve stale
-        # chases; the session's snapshot refuses and points at the safe path.
-        from repro import DependencyError
+    def test_session_holds_the_given_sigma(self, ex41):
+        """Σ is a value, so the session and its checkpoints hold the
+        caller's own set; to change Σ, set a new one."""
+        from repro.chase.incremental import chase_with_checkpoint
 
-        tgd = ex41.dependencies.tgds()[0]
-        with pytest.raises(DependencyError, match="set_dependencies"):
-            session41.dependencies.add(tgd)
-        # The underlying sequence is a tuple, so even direct attribute
-        # mutation (.append/.clear on the list) is impossible.
+        sigma = ex41.dependencies
+        session = Session(dependencies=sigma)
+        assert session.dependencies is sigma and session.dependencies == sigma
+        # A schema whose markers Σ already carries adds nothing either.
+        assert Session(schema=ex41.schema, dependencies=sigma).dependencies is sigma
+        assert chase_with_checkpoint(ex41.q4, sigma)[1].sigma is sigma
         with pytest.raises(AttributeError):
-            session41.dependencies.dependencies.append(tgd)
-        # The caller's own set stays mutable and unaffected.
-        before = len(ex41.dependencies)
-        session41.set_dependencies(ex41.dependencies)
-        assert len(ex41.dependencies) == before
+            session.dependencies.dependencies.append(sigma.tgds()[0])
+        session.chase(ex41.q4, "bag")
+        smaller = sigma.without(sigma.tgds()[0])
+        session.set_dependencies(smaller)
+        assert session.dependencies is smaller
+        assert session.cache_stats().invalidations == 1
+        assert len(sigma) == len(smaller) + 1
+
+    def test_every_chase_books_one_key_build(self, ex41):
+        """Warm or cold, each chase builds one key and books its time: the
+        traced benchmark's session.key_build_us is read off these."""
+        session = Session(dependencies=ex41.dependencies)
+        for query, semantics in ((ex41.q4, "bag"), (ex41.q4, "bag"), (ex41.q1, "set")):
+            before = session.chase_profile()
+            session.chase(query, semantics)
+            after = session.chase_profile()
+            assert after.cache_keys_built == before.cache_keys_built + 1
+            assert after.key_build_time > before.key_build_time
+        assert session.cache_stats().hits == 1
 
     def test_lru_eviction_bound(self, ex41):
         session = Session(dependencies=ex41.dependencies, cache_size=2)
